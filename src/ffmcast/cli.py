@@ -26,6 +26,25 @@ from .protection import ProtectionConfig
 from .topology import complete_graph, geant, load_topology
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line, like every other input error; --help has the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
+
+    return parse
+
+
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--topology", metavar="FILE", help="topology JSON file")
@@ -42,7 +61,7 @@ def _add_tree_flags(p: argparse.ArgumentParser) -> None:
 def _build_net(args):
     if args.topology:
         return load_topology(args.topology)
-    if args.complete:
+    if args.complete is not None:
         return complete_graph(args.complete)
     return geant()
 
@@ -163,8 +182,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ffmcast",
-                                     description="fault-tolerant multicast tree simulator")
+    parser = _Parser(prog="ffmcast", description="fault-tolerant multicast tree simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="replay a scenario and write CSVs")
@@ -178,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_flags(p_ver)
     _add_tree_flags(p_ver)
     p_ver.add_argument("--scenario", required=True, metavar="FILE")
-    p_ver.add_argument("--max-sets", type=int, default=None, metavar="INT",
+    p_ver.add_argument("--max-sets", type=_at_least(0), default=None, metavar="INT",
                        help="refuse to enumerate more failure sets than this")
     p_ver.add_argument("--out", default=None, metavar="DIR")
     p_ver.set_defaults(fn=cmd_verify)
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--source", default=None)
     _add_tree_flags(p_rep)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--reps", type=int, default=5)
+    p_rep.add_argument("--reps", type=_at_least(1), default=5)
     p_rep.add_argument("--limit", type=int, default=32, help="group table capacity")
     p_rep.set_defaults(fn=cmd_report)
     return parser

@@ -236,6 +236,9 @@ class RecoveryModel:
     def __post_init__(self) -> None:
         if self.mode not in RECOVERY_MODES:
             raise ValueError(f"unknown recovery mode {self.mode!r}")
+        for name in ("detection_ms", "rtt_ms", "flowmod_ms", "compute_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def outage_ms(self, affected_groups: int = 1, entries: int = 1) -> float:
         if self.mode == "ff":
@@ -265,6 +268,10 @@ def simulate_recovery(
     """Packets lost to the outage windows of `cuts` repaired link failures."""
     if cuts < 0:
         raise ValueError("cuts must be >= 0")
+    if rate_hz < 0:
+        raise ValueError("rate_hz must be >= 0")
+    if duration_ms is not None and duration_ms < 0:
+        raise ValueError("duration_ms must be >= 0")
     outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
     window = outage if duration_ms is None else min(outage, duration_ms)
     lost = cuts * math.floor(window * rate_hz / 1000.0)

@@ -177,7 +177,7 @@ def georeplay(
     breaks do not pin the source; the geant preset defaults to AT.
     """
     if preset == "complete":
-        net = complete_graph(n or 30)
+        net = complete_graph(30 if n is None else n)
         src = source or max(net.nodes)
     elif preset == "geant":
         net = geant()

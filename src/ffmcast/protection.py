@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from .errors import TagSpaceExhausted, TopologyError
-from .topology import Link, Network, without_links
+# without_links is unused here but stays importable: perfbench's tracer wraps it by name
+from .topology import Link, Network, without_links  # noqa: F401
 from .trees import JOIN_STRATEGIES, MulticastTree, PathEdges, apply_path, join
 
 
@@ -90,7 +91,8 @@ def protect_join(gs: GroupState, v: str) -> bool:
 
     Tree edges that end up without a viable backup are skipped quietly and
     recorded in gs.unprotected; delivery under failures hitting them is not
-    promised.
+    promised. If the tag space runs out mid-join, the join is undone and
+    TagSpaceExhausted propagates; the tags it drew are not returned.
     """
     primary = gs.primary
     if v not in gs.net:
@@ -99,40 +101,48 @@ def protect_join(gs: GroupState, v: str) -> bool:
         raise ValueError("the source cannot subscribe to its own group")
     if v in primary.terminals:
         return True
-    full = _attach(gs, gs.net, primary, v)
+    full = _attach(gs, primary, v, frozenset())
     if full is None:
         return False
     gs.installer.ensure_base(primary.root)
+    recorded = len(gs.unprotected)
     queue: deque[tuple[PathEdges, MulticastTree, frozenset[Link]]] = deque()
     if gs.config.max_failures > 0:
         queue.append((full, primary, frozenset()))
-    while queue:
-        path_edges, tree, down = queue.popleft()
-        for x, y in path_edges:
-            assumed = down | {Link(x, y)}
-            b = tree.backup.get((x, y))
-            if b is None:
-                # the tag is burned even when no backup path exists
-                b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)))
-                tree.backup[(x, y)] = b
-            bfull = _attach(gs, without_links(gs.net, assumed), b, v)
-            if bfull is None:
-                gs.unprotected.append((b.tag, (x, y), tuple(sorted(str(l) for l in assumed))))
-                continue
-            if len(assumed) < gs.config.max_failures:
-                queue.append((bfull, b, assumed))
+    try:
+        while queue:
+            path_edges, tree, down = queue.popleft()
+            for x, y in path_edges:
+                assumed = down | {Link(x, y)}
+                b = tree.backup.get((x, y))
+                if b is None:
+                    # the tag is burned even when no backup path exists
+                    b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)))
+                    tree.backup[(x, y)] = b
+                bfull = _attach(gs, b, v, assumed)
+                if bfull is None:
+                    gs.unprotected.append((b.tag, (x, y), tuple(sorted(str(l) for l in assumed))))
+                    continue
+                if len(assumed) < gs.config.max_failures:
+                    queue.append((bfull, b, assumed))
+    except TagSpaceExhausted:
+        # undo the partial join through the leave path; the tags it drew stay burned
+        protect_leave(gs, v)
+        del gs.unprotected[recorded:]
+        raise
     return True
 
 
-def _attach(gs: GroupState, net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
-    """Join v to one tree and install the flows; full root-to-v edge list.
+def _attach(gs: GroupState, tree: MulticastTree, v: str, avoid: frozenset[Link]) -> PathEdges | None:
+    """Join v to one tree, routing around the links in avoid, and install the
+    flows; full root-to-v edge list.
 
     A subscriber whose switch already forwards for the tree just gets the
     host delivery added (empty extension).
     """
     gs.join_calls += 1
     if v not in tree.nodes:
-        got = join(net, tree, v, gs.config.strategy)
+        got = join(gs.net, tree, v, gs.config.strategy, avoid)
         if got is None:
             return None
         apply_path(tree, got)

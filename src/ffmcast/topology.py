@@ -20,7 +20,7 @@ from .errors import TopologyError
 # Reserved peer name for the implicit host port on every switch.
 HOST = "host"
 
-CostFn = Callable[["Link"], float]
+CostFn = Callable[[str, str], float]
 
 
 @dataclass(frozen=True, order=True)
@@ -153,7 +153,11 @@ def geant() -> Network:
 
 
 def without_links(net: Network, removed: Iterable[Link]) -> Network:
-    """Logical subgraph with the given links removed; net itself is unchanged."""
+    """Logical subgraph with the given links removed; net itself is unchanged.
+
+    Path search takes an avoid set instead; this copy is the oracle the
+    tests compare that against.
+    """
     removed = set(removed)
     missing = removed - net.links
     if missing:
@@ -161,19 +165,37 @@ def without_links(net: Network, removed: Iterable[Link]) -> Network:
     return Network(net.nodes, net.links - removed)
 
 
-def shortest_path(net: Network, src: str, dst: str, cost: CostFn | None = None) -> list[str] | None:
-    """Cheapest src-to-dst path, or None if unreachable.
+def _banned(avoid: Iterable[Link]) -> dict[str, set[str]]:
+    """Node -> neighbours it must not use, for links treated as down."""
+    banned: dict[str, set[str]] = {}
+    for link in avoid:
+        banned.setdefault(link.a, set()).add(link.b)
+        banned.setdefault(link.b, set()).add(link.a)
+    return banned
 
+
+def shortest_path(
+    net: Network,
+    src: str,
+    dst: str,
+    cost: CostFn | None = None,
+    avoid: Iterable[Link] = frozenset(),
+) -> list[str] | None:
+    """Cheapest src-to-dst path that uses no link in avoid, or None if unreachable.
+
+    cost(a, b) prices the hop from a to b (default 1) and must be positive.
     Among equal-cost paths the lexicographically smallest node sequence wins,
-    which makes the result independent of iteration order. Costs must be
-    positive.
+    which makes the result independent of iteration order; use exact (for
+    example integer) costs so that equal really means equal.
     """
     for node in (src, dst):
         if node not in net:
             raise TopologyError(f"unknown node {node!r}")
     if src == dst:
         return [src]
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    adj = net._adj
+    banned = _banned(avoid)
+    heap: list[tuple[float, tuple[str, ...]]] = [(0, (src,))]
     done: set[str] = set()
     while heap:
         dist, path = heapq.heappop(heap)
@@ -183,26 +205,30 @@ def shortest_path(net: Network, src: str, dst: str, cost: CostFn | None = None) 
         done.add(node)
         if node == dst:
             return list(path)
-        for nxt in net.neighbors(node):
-            if nxt in done:
+        skip = banned.get(node, ())
+        for nxt in adj[node]:
+            if nxt in done or nxt in skip:
                 continue
-            step = 1.0 if cost is None else cost(Link(node, nxt))
-            if step <= 0.0:
-                raise ValueError(f"non-positive cost on {Link(node, nxt)}")
+            step = 1 if cost is None else cost(node, nxt)
+            if step <= 0:
+                raise ValueError(f"non-positive cost on {node}-{nxt}")
             heapq.heappush(heap, (dist + step, path + (nxt,)))
     return None
 
 
-def bfs_distances(net: Network, src: str) -> dict[str, int]:
-    """Hop distance from src to every reachable node."""
+def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -> dict[str, int]:
+    """Hop distance from src to every node reachable without the links in avoid."""
     if src not in net:
         raise TopologyError(f"unknown node {src!r}")
+    adj = net._adj
+    banned = _banned(avoid)
     dist = {src: 0}
     queue = deque([src])
     while queue:
         node = queue.popleft()
-        for nxt in net.neighbors(node):
-            if nxt not in dist:
+        skip = banned.get(node, ())
+        for nxt in adj[node]:
+            if nxt not in dist and nxt not in skip:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist

@@ -9,6 +9,7 @@ nearest tree node.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import InvalidPathError, TopologyError
@@ -96,25 +97,32 @@ def apply_path(tree: MulticastTree, path: PathEdges) -> None:
         tree.children.setdefault(a, set()).add(b)
 
 
-def spt_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
-    """Minimum-hop join biased to reuse tree links.
+def spt_join(
+    net: Network, tree: MulticastTree, v: str, avoid: Iterable[Link] = frozenset()
+) -> PathEdges | None:
+    """Minimum-hop join biased to reuse tree links, skipping links in avoid.
 
-    Runs a shortest-path search from the tree root with tree links costing
-    1 - eps (eps = 1 / (edge count + 1)) and everything else 1, then returns
-    only the suffix after the last node already in the tree. Returns None if
-    v is already in the tree or unreachable.
+    Runs a shortest-path search from the tree root with exact integer costs:
+    E for a tree link and E + 1 for any other link, where E is the tree's
+    edge count. A path of h hops using k tree links costs h(E + 1) - k with
+    0 <= k <= E, so paths rank by fewest hops, then most reused tree links,
+    then the lexicographically smallest node sequence. Returns only the
+    suffix after the last node already in the tree, or None if v is already
+    in the tree or unreachable.
     """
     if v not in net:
         raise TopologyError(f"unknown node {v!r}")
     if v in tree.nodes:
         return None
-    eps = 1.0 / (tree.edge_count() + 1)
-    in_tree = tree.tree_links()
+    tree_cost = tree.edge_count()
+    parent = tree.parent
 
-    def cost(link: Link) -> float:
-        return 1.0 - eps if link in in_tree else 1.0
+    def cost(a: str, b: str) -> int:
+        if parent.get(b) == a or parent.get(a) == b:
+            return tree_cost
+        return tree_cost + 1
 
-    nodes = shortest_path(net, tree.root, v, cost)
+    nodes = shortest_path(net, tree.root, v, cost, avoid)
     if nodes is None:
         return None
     anchor = 0
@@ -124,8 +132,10 @@ def spt_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     return [(nodes[i], nodes[i + 1]) for i in range(anchor, len(nodes) - 1)]
 
 
-def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
-    """Graft v onto the nearest tree node.
+def dst_join(
+    net: Network, tree: MulticastTree, v: str, avoid: Iterable[Link] = frozenset()
+) -> PathEdges | None:
+    """Graft v onto the nearest tree node, skipping links in avoid.
 
     Picks the tree node w with minimum hop distance to v (ties go to the
     lexicographically smallest w) and returns the existing root-to-w tree
@@ -136,7 +146,7 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
         raise TopologyError(f"unknown node {v!r}")
     if v in tree.nodes:
         return None
-    dist = bfs_distances(net, v)
+    dist = bfs_distances(net, v, avoid)
     best: tuple[int, str] | None = None
     for w in tree.nodes:
         d = dist.get(w)
@@ -147,7 +157,7 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     if best is None:
         return None
     w = best[1]
-    segment = shortest_path(net, w, v)
+    segment = shortest_path(net, w, v, avoid=avoid)
     assert segment is not None
     pre = tree.path_to(w)
     return pre + [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
@@ -156,10 +166,12 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
 JOIN_STRATEGIES = {"spt": spt_join, "dst": dst_join}
 
 
-def join(net: Network, tree: MulticastTree, v: str, strategy: str) -> PathEdges | None:
-    """Dispatch to a named join strategy."""
+def join(
+    net: Network, tree: MulticastTree, v: str, strategy: str, avoid: Iterable[Link] = frozenset()
+) -> PathEdges | None:
+    """Dispatch to a named join strategy; links in avoid are treated as down."""
     try:
         fn = JOIN_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown join strategy {strategy!r}") from None
-    return fn(net, tree, v)
+    return fn(net, tree, v, avoid)

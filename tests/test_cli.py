@@ -125,6 +125,33 @@ class TestReport:
         assert "over group table limit" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Bad input exits 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--preset", "complete", "-n", "4", "--reps", "0"], "--reps: must be >= 1"),
+        (["recover", "--model", "switch", "--rtt-ms", "10", "--rate-hz", "-5"],
+         "rate_hz must be >= 0"),
+        (["verify", "--complete", "0", "--scenario", "{scn}"],
+         "complete graph needs at least 2 nodes"),
+        (["verify", "--topology", "{topo}", "--scenario", "{scn}", "--max-sets", "-1"],
+         "--max-sets: must be >= 0"),
+        (["report", "--preset", "complete", "-n", "0"], "complete graph needs at least 2 nodes"),
+    ])
+    def test_rejected(self, files, capsys, argv, message):
+        topo, scn, _ = files
+        argv = [a.format(topo=topo, scn=scn) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

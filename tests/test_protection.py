@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import ffmcast.protection
 from ffmcast.dataplane import MAX_TAG
 from ffmcast.errors import TagSpaceExhausted, TopologyError
+from ffmcast.failsim import verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import complete_graph, load_topology
+from ffmcast.topology import Network, complete_graph, geant, load_topology
 from tests.test_topology import rand_connected
 
 
@@ -95,6 +97,31 @@ class TestTags:
         assert gs.fresh_tag() == MAX_TAG
         with pytest.raises(TagSpaceExhausted):
             gs.fresh_tag()
+
+    def test_exhaustion_mid_join_rolls_back(self, monkeypatch):
+        monkeypatch.setattr(ffmcast.protection, "MAX_TAG", 12)
+        gs = GroupState(geant(), "AT", ProtectionConfig("spt", 2))
+        order = [v for v in gs.net.nodes if v != "AT"]
+        for v in order[: order.index("BE")]:
+            protect_join(gs, v)
+        before = gs.fabric.dump()
+        unprotected = list(gs.unprotected)
+        tags = gs.tags_allocated
+        with pytest.raises(TagSpaceExhausted):
+            protect_join(gs, "BE")
+        assert "BE" not in gs.subscribers
+        assert gs.fabric.dump() == before
+        assert gs.unprotected == unprotected
+        assert gs.tags_allocated > tags  # burned tags stay burned
+        assert verify_tolerance(gs).ok
+
+    def test_exhaustion_on_first_join_removes_base(self, monkeypatch):
+        monkeypatch.setattr(ffmcast.protection, "MAX_TAG", 0)
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        with pytest.raises(TagSpaceExhausted):
+            protect_join(gs, "C")
+        assert not gs.subscribers
+        assert gs.fabric.dump() == ""
 
     def test_leave_does_not_recycle_tags(self):
         gs = GroupState(triangle(), "A")
@@ -236,6 +263,32 @@ class TestWorkBound:
                     protect_join(gs, v)
                     spent = gs.join_calls - seen
                     assert spent <= bound, f"{name} F={f}: {spent} > {bound}"
+
+
+class TestNoGraphBuilds:
+    def grid(self, n):
+        name = lambda r, c: f"g{r}{c}"
+        nodes = [name(r, c) for r in range(n) for c in range(n)]
+        links = [[name(r, c), name(r, c + 1)] for r in range(n) for c in range(n - 1)]
+        links += [[name(r, c), name(r + 1, c)] for r in range(n - 1) for c in range(n)]
+        return load_topology({"nodes": nodes, "links": links})
+
+    @pytest.mark.parametrize("topo", ["geant", "grid6"])
+    def test_joins_build_no_network(self, topo, monkeypatch):
+        net = geant() if topo == "geant" else self.grid(6)
+        builds = []
+        init = Network.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counting_init)
+        gs = GroupState(net, net.nodes[0], ProtectionConfig("spt", 2))
+        for v in net.nodes[1:]:
+            assert protect_join(gs, v)
+        assert gs.tags_allocated > 0
+        assert not builds
 
 
 class TestConfig:

@@ -139,13 +139,13 @@ class TestShortestPath:
             "links": [["A", "B"], ["B", "C"], ["A", "C"]],
         })
         # make the direct link expensive
-        cost = lambda l: 5.0 if l == Link("A", "C") else 1.0
+        cost = lambda a, b: 5.0 if Link(a, b) == Link("A", "C") else 1.0
         assert shortest_path(net, "A", "C", cost) == ["A", "B", "C"]
 
     def test_nonpositive_cost_rejected(self):
         net = complete_graph(3)
         with pytest.raises(ValueError):
-            shortest_path(net, "n0", "n1", lambda l: 0.0)
+            shortest_path(net, "n0", "n1", lambda a, b: 0.0)
 
     def test_hops_match_bfs_oracle(self):
         for seed in range(60):
@@ -164,6 +164,37 @@ class TestShortestPath:
         path = shortest_path(net, net.nodes[0], net.nodes[-1])
         for a, b in zip(path, path[1:]):
             assert net.has_link(a, b)
+
+
+class TestAvoid:
+    """Searching around an avoid set matches searching the rebuilt subgraph."""
+
+    def cases(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = rand_connected(rng, rng.randint(3, 16))
+            avoid = set(rng.sample(sorted(net.links), rng.randint(0, min(4, len(net.links)))))
+            yield rng, net, avoid, without_links(net, avoid)
+
+    def test_shortest_path_matches_subgraph(self):
+        for rng, net, avoid, sub in self.cases():
+            src = rng.choice(net.nodes)
+            weight = {l: rng.randint(1, 3) for l in net.links}
+            cost = lambda a, b: weight[Link(a, b)]
+            for dst in net.nodes:
+                assert shortest_path(net, src, dst, avoid=avoid) == shortest_path(sub, src, dst)
+                assert shortest_path(net, src, dst, cost, avoid) == shortest_path(sub, src, dst, cost)
+
+    def test_bfs_matches_subgraph(self):
+        for rng, net, avoid, sub in self.cases():
+            src = rng.choice(net.nodes)
+            assert bfs_distances(net, src, avoid) == bfs_distances(sub, src)
+
+    def test_avoided_link_unused(self):
+        net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]})
+        assert shortest_path(net, "A", "C", avoid={Link("C", "A")}) == ["A", "B", "C"]
+        assert shortest_path(net, "A", "C", avoid={Link("A", "C"), Link("B", "C")}) is None
+        assert bfs_distances(net, "A", {Link("A", "C")}) == {"A": 0, "B": 1, "C": 2}
 
 
 class TestWithoutLinks:

@@ -1,9 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ffmcast.errors import InvalidPathError
-from ffmcast.topology import bfs_distances, complete_graph, load_topology
+from ffmcast.topology import (
+    Link,
+    bfs_distances,
+    complete_graph,
+    load_topology,
+    shortest_path,
+    without_links,
+)
 from ffmcast.trees import MulticastTree, apply_path, dst_join, join, spt_join
 from tests.test_topology import rand_connected
 
@@ -61,7 +69,7 @@ class TestSptJoin:
         net = square()
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
-        # A-B-C costs 2-eps, A-D-C costs 2: the tree edge tips the tie
+        # A-B-C and A-D-C both take 2 hops; only A-B-C reuses a tree link
         assert spt_join(net, t, "C") == [("B", "C")]
 
     def test_returns_suffix_only(self):
@@ -88,10 +96,36 @@ class TestSptJoin:
         assert spt_join(net, t, "C") is None
 
     def test_discount_never_buys_a_hop(self):
-        # total tree discount stays below one hop, whatever the tree size
+        # h hops with k <= E tree links cost h(E + 1) - k: reusing the whole
+        # tree still costs more than any path one hop shorter
         for edges in (0, 1, 5, 100, 10_000):
-            eps = 1.0 / (edges + 1)
-            assert eps * edges < 1.0
+            for hops in (1, 2, 7):
+                assert hops * (edges + 1) - edges > (hops - 1) * (edges + 1)
+
+    def test_matches_exact_rational_oracle(self):
+        # reference: the rebuilt subgraph, tree links priced 1 - 1/(E + 1) exactly
+        def reference(net, t, v):
+            eps = Fraction(1, t.edge_count() + 1)
+            links = t.tree_links()
+            nodes = shortest_path(net, t.root, v, lambda a, b: 1 - eps if Link(a, b) in links else 1)
+            if nodes is None:
+                return None
+            anchor = max(i for i, node in enumerate(nodes) if node in t.nodes)
+            return list(zip(nodes[anchor:], nodes[anchor + 1:]))
+
+        for seed in range(80):
+            rng = random.Random(seed)
+            net = rand_connected(rng, rng.randint(3, 18))
+            avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
+            sub = without_links(net, avoid)
+            t = MulticastTree(root=rng.choice(net.nodes))
+            order = [v for v in net.nodes if v != t.root]
+            rng.shuffle(order)
+            for v in order:
+                got = spt_join(net, t, v, avoid)
+                assert got == (None if v in t.nodes else reference(sub, t, v))
+                if got:
+                    apply_path(t, got)
 
     def test_never_longer_than_bfs(self):
         # the residual tie-break must not cost extra hops
@@ -138,6 +172,22 @@ class TestDstJoin:
         t = MulticastTree(root="A")
         assert dst_join(net, t, "A") is None
         assert dst_join(net, t, "C") is None
+
+
+    def test_avoid_matches_subgraph(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = rand_connected(rng, rng.randint(3, 16))
+            avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
+            sub = without_links(net, avoid)
+            t = MulticastTree(root=rng.choice(net.nodes))
+            order = [v for v in net.nodes if v != t.root]
+            rng.shuffle(order)
+            for v in order:
+                got = join(net, t, v, "dst", avoid)
+                assert got == dst_join(sub, t, v)
+                if got:
+                    apply_path(t, got)
 
 
 class TestDispatch:
