@@ -125,6 +125,10 @@ def cmd_verify(args) -> int:
     print(f"unexcused misses: {len(report.unexcused)}")
     print(f"excused (no backup on record): {report.excused}")
     print(f"loop guard: {'tripped' if report.loop_guard_tripped else 'clean'}")
+    print(f"duplicate copies: {report.duplicates}")
+    print(f"stray deliveries: {report.stray}")
+    print(f"unmatched packets: {report.unmatched}")
+    print(f"dataplane walks: {report.walks}")
     for case in report.unexcused[:20]:
         print(f"  miss: subscriber {case.subscriber} with down [{';'.join(case.failed)}]")
     return 0 if report.ok else 1

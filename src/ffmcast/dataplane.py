@@ -15,7 +15,9 @@ packet, and the owning flow entry points at the copies as well.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataplaneError, TopologyError
 from .topology import HOST, Link, Network
@@ -34,6 +36,11 @@ class PortId:
     @property
     def is_host(self) -> bool:
         return self.peer == HOST
+
+    @cached_property
+    def link(self) -> Link:
+        """The link behind the port (for a host port, one no topology has)."""
+        return Link(self.switch, self.peer)
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,11 @@ class SwitchState:
 
 
 class SwitchFabric:
-    """All switches of one network plus shared link liveness."""
+    """All switches of one network, plus the link state a harness keeps.
+
+    Forwarding never reads `down`: callers pass the down links to forward(),
+    so one fabric can be walked under many failure sets without mutation.
+    """
 
     def __init__(self, net: Network):
         self.net = net
@@ -177,17 +188,27 @@ class SwitchFabric:
         else:
             self.down.add(link)
 
-    def port_live(self, port: PortId) -> bool:
-        if port.is_host:
-            return True
-        return Link(port.switch, port.peer) not in self.down
+    @staticmethod
+    def port_live(port: PortId, down: Set[Link]) -> bool:
+        """Whether the port's link is up; host ports always are."""
+        return port.link not in down
 
-    def forward(self, switch: str, group_key: str, tag: int | None) -> tuple[list[tuple[PortId, int | None]], bool]:
-        """Run one packet through a switch; returns (emissions, matched).
+    def forward(
+        self,
+        switch: str,
+        group_key: str,
+        tag: int | None,
+        down: Set[Link],
+        consulted: set[Link] | None = None,
+    ) -> tuple[list[tuple[PortId, int | None]], bool]:
+        """Run one packet through a switch with the given links down; returns
+        (emissions, matched).
 
         Each emission is (egress port, outgoing tag). Group buckets operate
         on copies of the packet; a list that mixes group and output actions
-        executes only the group actions.
+        executes only the group actions. When `consulted` is a set, the link
+        of every watch port a group checked is added to it: the result is the
+        same for any down set that agrees with `down` on those links.
         """
         sw = self.switches[switch]
         emissions: list[tuple[PortId, int | None]] = []
@@ -208,7 +229,7 @@ class SwitchFabric:
                     if not has_group:
                         emissions.append((a.port, cur))
                 elif isinstance(a, ToGroup):
-                    emissions.extend(self._run_group(sw, a.group, cur))
+                    emissions.extend(self._run_group(sw, a.group, cur, down, consulted))
                 elif isinstance(a, SetTag):
                     cur = a.tag
                 elif isinstance(a, PopTag):
@@ -222,16 +243,29 @@ class SwitchFabric:
             table = goto
         return emissions, matched
 
-    def _run_group(self, sw: SwitchState, gid: int, tag: int | None) -> list[tuple[PortId, int | None]]:
+    @staticmethod
+    def _run_group(
+        sw: SwitchState,
+        gid: int,
+        tag: int | None,
+        down: Set[Link],
+        consulted: set[Link] | None,
+    ) -> list[tuple[PortId, int | None]]:
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"flow references unknown group {gid} on {sw.node}")
         # first live bucket wins; an inherited Drop bucket consumes the packet
         for port in group.drop_watch:
-            if self.port_live(port):
+            link = port.link
+            if consulted is not None:
+                consulted.add(link)
+            if link not in down:
                 return []
         for m in group.members:
-            if self.port_live(m.watch):
+            link = m.watch.link
+            if consulted is not None:
+                consulted.add(link)
+            if link not in down:
                 out_tag = tag if m.set_tag is None else m.set_tag
                 return [(m.watch, out_tag)]
         return []

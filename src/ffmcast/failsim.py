@@ -1,11 +1,13 @@
 """Failure injection against the compiled dataplane.
 
 simulate_delivery pushes one packet from the source through the emulated
-switches with a chosen set of links down and reports who got it.
-verify_tolerance sweeps every failure set up to the configured budget and
-flags subscribers that should have been reachable (per the installed backup
-trees) but were not. depth_hopcounts measures path stretch per failover
-depth, and the recovery models turn an outage window into lost packets.
+switches with a chosen set of links down and reports who got it; it can also
+report which links' state it read. verify_tolerance sweeps every failure set
+up to the configured budget, walking one packet per class of sets that
+forward alike, and flags subscribers that should have been reachable (per
+the installed backup trees) but were not. depth_hopcounts measures path
+stretch per failover depth, and the recovery models turn an outage window
+into lost packets.
 """
 
 from __future__ import annotations
@@ -47,44 +49,51 @@ def simulate_delivery(
     gs: GroupState,
     failed: Iterable[Link] = (),
     max_hops: int | None = None,
+    consulted: set[Link] | None = None,
 ) -> DeliveryReport:
-    """Forward one packet from the source with the given links down."""
+    """Forward one packet from the source with the given links down.
+
+    The walk reads the switch state and the `failed` links only; it leaves
+    `gs.fabric.down` (a harness's link state) alone. When `consulted` is a
+    set, every link whose state the walk read is added to it: the watch
+    ports of the groups that ran and the wires of the outputs taken. Any
+    failure set that agrees with `failed` on those links gives the same walk.
+    """
     fabric = gs.fabric
-    fail_set = frozenset(failed)
+    down = frozenset(failed)
     if max_hops is None:
         # generous: one traversal of the topology per failover depth
         max_hops = (gs.config.max_failures + 1) * max(len(gs.net.links), 1) + 2
-    saved = set(fabric.down)
-    fabric.down = set(fail_set)
+    group_key = gs.installer.group_key
     arrived: dict[str, list[int]] = {}
     unmatched = 0
     tripped = False
-    try:
-        queue: deque[tuple[str, int | None, int]] = deque([(gs.source, None, 0)])
-        while queue:
-            switch, tag, hops = queue.popleft()
-            emissions, matched = fabric.forward(switch, gs.installer.group_key, tag)
-            if not matched:
-                unmatched += 1
+    queue: deque[tuple[str, int | None, int]] = deque([(gs.source, None, 0)])
+    while queue:
+        switch, tag, hops = queue.popleft()
+        emissions, matched = fabric.forward(switch, group_key, tag, down, consulted)
+        if not matched:
+            unmatched += 1
+            continue
+        for port, out_tag in emissions:
+            if port.is_host:
+                arrived.setdefault(port.switch, []).append(hops)
                 continue
-            for port, out_tag in emissions:
-                if port.is_host:
-                    arrived.setdefault(port.switch, []).append(hops)
-                    continue
-                if Link(port.switch, port.peer) in fabric.down:
-                    continue  # plain outputs do not watch liveness; the wire eats it
-                if hops + 1 > max_hops:
-                    tripped = True
-                    continue
-                queue.append((port.peer, out_tag, hops + 1))
-    finally:
-        fabric.down = saved
+            link = port.link
+            if consulted is not None:
+                consulted.add(link)
+            if link in down:
+                continue  # plain outputs do not watch liveness; the wire eats it
+            if hops + 1 > max_hops:
+                tripped = True
+                continue
+            queue.append((port.peer, out_tag, hops + 1))
     outcomes = {}
     for v in sorted(gs.primary.terminals):
         hits = arrived.pop(v, [])
         outcomes[v] = Delivery(v, bool(hits), min(hits) if hits else None, len(hits))
     stray = sum(len(hits) for hits in arrived.values())
-    return DeliveryReport(tuple(sorted(fail_set)), outcomes, unmatched, stray, tripped)
+    return DeliveryReport(tuple(sorted(down)), outcomes, unmatched, stray, tripped)
 
 
 # tolerance sweep ---------------------------------------------------
@@ -98,15 +107,22 @@ class FailureCase:
 
 @dataclass
 class ToleranceReport:
+    """Result of a sweep. duplicates, stray, unmatched and walks include the baseline."""
+
     sets_checked: int = 0
     baseline_ok: bool = True
     unexcused: list[FailureCase] = field(default_factory=list)
     excused: int = 0
     loop_guard_tripped: bool = False
+    duplicates: int = 0  # (set, subscriber) pairs that got more than one copy
+    stray: int = 0  # host deliveries at switches without a subscriber
+    unmatched: int = 0  # packets no flow entry wanted, while the group has subscribers
+    walks: int = 0  # dataplane walks simulated
 
     @property
     def ok(self) -> bool:
-        return self.baseline_ok and not self.unexcused and not self.loop_guard_tripped
+        return (self.baseline_ok and not self.unexcused and not self.loop_guard_tripped
+                and not self.duplicates and not self.stray and not self.unmatched)
 
 
 def expected_deliverable(gs: GroupState, v: str, failed: Iterable[Link]) -> bool:
@@ -130,11 +146,26 @@ def verify_tolerance(
     max_sets: int | None = None,
     on_case: Callable[[tuple[Link, ...], DeliveryReport], None] | None = None,
 ) -> ToleranceReport:
-    """Exhaustively fail every link set up to the budget and check delivery.
+    """Fail every link set up to the budget and check delivery.
 
     A miss only counts against the result when the backup trees on record
-    cover that subscriber for that failure set; gaps protect_join already
-    conceded are tallied as excused.
+    cover that subscriber for that failure set (expected_deliverable, asked
+    per set); gaps protect_join already conceded are tallied as excused.
+    Duplicate copies, stray host deliveries and unmatched packets fail the
+    result too.
+
+    Sets are taken in `combinations` order over the sorted links, after the
+    baseline (no link down). `on_case` is called once per set with a
+    DeliveryReport of its own, whose `failed` is the set and whose outcomes
+    and counts are those of its core. Only cores are walked: a walk under T
+    reads the state of the links W(T) only, so T forwards exactly like its
+    core T & W(T). The core is found by the fixpoint C <- T & W(C) from
+    C = {}: C stays inside T, so the walks under C and T read the same links
+    up to the first link of T \\ C they meet, which the next step adds; the
+    steps stop at T & W(T). Walks are memoised by link bitmask, with the
+    Delivery objects they hold interned. Only sets smaller than the budget
+    are kept (a core as large as the budget is the one set it stands for),
+    so the memo holds at most sum(comb(links, k) for k < budget) reports.
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
@@ -142,19 +173,65 @@ def verify_tolerance(
     total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
     if max_sets is not None and total > max_sets:
         raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")
+    bit = {link: 1 << i for i, link in enumerate(links)}
     report = ToleranceReport()
-    baseline = simulate_delivery(gs)
+    counted = bool(gs.primary.terminals)  # an empty group's packet is unmatched by design
+    interned: dict[Delivery, Delivery] = {}
+    memo: dict[int, tuple[int, DeliveryReport]] = {}
+
+    def walk(mask: int) -> tuple[int, DeliveryReport]:
+        """(links consulted, report) of the walk with the links of mask down."""
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        down = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            down.append(links[low.bit_length() - 1])
+            rest ^= low
+        consulted: set[Link] = set()
+        rep = simulate_delivery(gs, down, consulted=consulted)
+        report.walks += 1
+        seen = 0
+        for link in consulted:
+            seen |= bit.get(link, 0)
+        if mask.bit_count() < max_failures:
+            outcomes = rep.outcomes
+            for v, d in outcomes.items():
+                outcomes[v] = interned.setdefault(d, d)
+            memo[mask] = (seen, rep)
+        return seen, rep
+
+    def tally(rep: DeliveryReport) -> None:
+        report.duplicates += sum(1 for o in rep.outcomes.values() if o.copies > 1)
+        report.stray += rep.stray
+        if counted:
+            report.unmatched += rep.unmatched
+        if rep.loop_guard_tripped:
+            report.loop_guard_tripped = True
+
+    _, baseline = walk(0)
     if on_case is not None:
-        on_case((), baseline)
+        on_case((), _copy(baseline, ()))
     report.baseline_ok = baseline.all_delivered and not baseline.loop_guard_tripped
+    tally(baseline)
     for k in range(1, max_failures + 1):
         for combo in combinations(links, k):
-            rep = simulate_delivery(gs, combo)
+            failed = 0
+            for link in combo:
+                failed |= bit[link]
+            core = 0
+            while True:
+                seen, rep = walk(core)
+                nxt = failed & seen
+                if nxt == core:
+                    break
+                core = nxt
             report.sets_checked += 1
-            if rep.loop_guard_tripped:
-                report.loop_guard_tripped = True
+            tally(rep)
             if on_case is not None:
-                on_case(combo, rep)
+                on_case(combo, _copy(rep, combo))
             for v, outcome in rep.outcomes.items():
                 if outcome.delivered:
                     continue
@@ -163,6 +240,11 @@ def verify_tolerance(
                 else:
                     report.excused += 1
     return report
+
+
+def _copy(rep: DeliveryReport, failed: tuple[Link, ...]) -> DeliveryReport:
+    """The report of a core, restated for one failure set that reduces to it."""
+    return DeliveryReport(failed, dict(rep.outcomes), rep.unmatched, rep.stray, rep.loop_guard_tripped)
 
 
 # stretch per failover depth ----------------------------------------

@@ -127,8 +127,8 @@ def protect_join(gs: GroupState, v: str) -> bool:
                     queue.append((bfull, b, assumed))
     except TagSpaceExhausted:
         # undo the partial join through the leave path; the tags it drew stay burned
-        protect_leave(gs, v)
         del gs.unprotected[recorded:]
+        protect_leave(gs, v)
         raise
     return True
 
@@ -153,13 +153,20 @@ def _attach(gs: GroupState, tree: MulticastTree, v: str, avoid: frozenset[Link])
 
 
 def protect_leave(gs: GroupState, v: str) -> None:
-    """Unsubscribe v everywhere; a no-op for non-subscribers."""
-    _leave(gs, gs.primary, v)
+    """Unsubscribe v everywhere; a no-op for non-subscribers.
+
+    The gs.unprotected entries of the backup trees it prunes go with them.
+    """
+    dropped: set[int] = set()
+    _leave(gs, gs.primary, v, dropped)
+    if dropped:
+        gs.unprotected[:] = [entry for entry in gs.unprotected if entry[0] not in dropped]
     if not gs.primary.terminals:
         gs.installer.remove_base()
 
 
-def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
+def _leave(gs: GroupState, tree: MulticastTree, v: str, dropped: set[int]) -> None:
+    """Take v off tree and its backups; collects the tags of pruned backup trees."""
     if v == tree.root or v not in tree.terminals:
         return
     snapshot = tree.path_to(v)
@@ -182,6 +189,8 @@ def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
     for edge in reversed(snapshot):
         b = tree.backup.get(edge)
         if b is not None:
-            _leave(gs, b, v)
+            _leave(gs, b, v, dropped)
     for edge in pruned:
-        tree.backup.pop(edge, None)
+        b = tree.backup.pop(edge, None)
+        if b is not None:
+            dropped.add(b.tag)

@@ -74,6 +74,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "failure sets checked: 3" in out
         assert "unexcused misses: 0" in out
+        assert "duplicate copies: 0" in out
+        assert "stray deliveries: 0" in out
+        assert "unmatched packets: 0" in out
+        assert "dataplane walks: " in out
 
     def test_budget_refusal_exit_two(self, files, capsys):
         topo, scn, _ = files

@@ -82,31 +82,49 @@ class TestChainGroups:
     def test_first_live_bucket_wins(self):
         fab, _, _, _, _ = build_golden()
         down = lambda *ps: {Link("S", p) for p in ps}
-        fab.down = down("p1")
-        out, _ = fab.forward("S", "g", None)
+        out, _ = fab.forward("S", "g", None, down("p1"))
         assert sorted((p.peer, t) for p, t in out) == [("p2", 1)]
-        fab.down = down("p1", "p2")
-        out, _ = fab.forward("S", "g", None)
+        out, _ = fab.forward("S", "g", None, down("p1", "p2"))
         assert sorted((p.peer, t) for p, t in out) == [("p7", 2), ("p8", 2), ("p9", 2)]
-        fab.down = down("p1", "p2", "p7", "p8", "p9")
-        out, _ = fab.forward("S", "g", None)
+        out, _ = fab.forward("S", "g", None, down("p1", "p2", "p7", "p8", "p9"))
         assert sorted((p.peer, t) for p, t in out) == [("p10", 3), ("p11", 4), ("p12", 5)]
 
     def test_copy_prefix_still_guards(self):
         # while any inherited port is live, a copy stays silent
         fab, _, _, _, _ = build_golden()
-        fab.down = {Link("S", "p1")}
-        out, _ = fab.forward("S", "g", None)
+        out, _ = fab.forward("S", "g", None, {Link("S", "p1")})
         peers = {p.peer for p, _ in out}
         assert "p8" not in peers and "p9" not in peers
 
     def test_fail_restore_is_involutive(self):
         fab, _, _, _, _ = build_golden()
-        before, _ = fab.forward("S", "g", None)
+        before, _ = fab.forward("S", "g", None, fab.down)
         fab.set_link_state(Link("S", "p1"), up=False)
         fab.set_link_state(Link("S", "p1"), up=True)
-        after, _ = fab.forward("S", "g", None)
+        after, _ = fab.forward("S", "g", None, fab.down)
         assert before == after
+
+    def test_forward_reads_only_the_down_set_passed(self):
+        fab, _, _, _, _ = build_golden()
+        fab.set_link_state(Link("S", "p1"), up=False)
+        out, _ = fab.forward("S", "g", None, set())
+        assert [(p.peer, t) for p, t in out] == [("p1", None)]
+        assert fab.down == {Link("S", "p1")}
+
+    def test_consulted_links_are_the_watch_ports_checked(self):
+        fab, _, _, _, _ = build_golden()
+        seen = set()
+        fab.forward("S", "g", None, set(), seen)
+        # each group stops at its first live watch port, p1
+        assert seen == {Link("S", "p1")}
+        seen.clear()
+        fab.forward("S", "g", None, {Link("S", "p1"), Link("S", "p2")}, seen)
+        assert seen == {Link("S", p) for p in ("p1", "p2", "p7", "p8", "p9")}
+        # a copy run alone reads its inherited (Drop) watch ports too
+        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (ToGroup(2),))}
+        seen.clear()
+        out, _ = fab.forward("S", "g", None, {Link("S", "p1")}, seen)
+        assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
 
     def test_unknown_link_state(self):
         fab = SwitchFabric(star(3))
@@ -118,7 +136,7 @@ class TestChainGroups:
         sw = fab.switches["S"]
         sw.tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (ToGroup(9),))}
         with pytest.raises(DataplaneError):
-            fab.forward("S", "g", None)
+            fab.forward("S", "g", None, set())
 
 
 class TestForwardQuirks:
@@ -132,7 +150,7 @@ class TestForwardQuirks:
         sw.tables[0][("g", None)] = {
             0: FlowEntry(0, "g", None, 0, (Output(PortId("S", "p2")), ToGroup(1)))
         }
-        out, matched = fab.forward("S", "g", None)
+        out, matched = fab.forward("S", "g", None, set())
         assert matched
         assert [(p.peer, t) for p, t in out] == [("p1", None)]
 
@@ -140,18 +158,18 @@ class TestForwardQuirks:
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
         inst.ensure_base("S")
-        out, matched = fab.forward("S", "g", None)
+        out, matched = fab.forward("S", "g", None, set())
         assert matched and out == []  # drop entry holds the fort
         inst.compile_path(_Tree("S"), [("S", "p1")])
-        out, _ = fab.forward("S", "g", None)
+        out, _ = fab.forward("S", "g", None, set())
         assert [(p.peer, t) for p, t in out] == [("p1", None)]
         inst.remove_edge(_Tree("S"), ("S", "p1"))
-        out, matched = fab.forward("S", "g", None)
+        out, matched = fab.forward("S", "g", None, set())
         assert matched and out == []
 
     def test_unmatched_is_reported(self):
         fab = SwitchFabric(star(2))
-        out, matched = fab.forward("S", "g", 5)
+        out, matched = fab.forward("S", "g", 5, set())
         assert not matched and out == []
 
     def test_goto_must_advance(self):
@@ -159,11 +177,12 @@ class TestForwardQuirks:
         sw = fab.switches["S"]
         sw.tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (GotoTable(0),))}
         with pytest.raises(DataplaneError):
-            fab.forward("S", "g", None)
+            fab.forward("S", "g", None, set())
 
     def test_host_port_always_live(self):
         fab = SwitchFabric(star(2))
-        assert fab.port_live(PortId("S", "host"))
+        assert fab.port_live(PortId("S", "host"), {Link("S", "p1")})
+        assert not fab.port_live(PortId("S", "p1"), {Link("S", "p1")})
 
 
 class TestInstallerLifecycle:

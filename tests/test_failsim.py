@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import random
+from itertools import combinations
 
 import pytest
 
-from ffmcast.errors import BudgetExceeded
+from ffmcast.dataplane import FlowEntry, Output, PortId, SetTag, SwitchFabric, ToGroup
+from ffmcast.errors import BudgetExceeded, DataplaneError
 from ffmcast.failsim import (
+    FailureCase,
     RecoveryModel,
+    ToleranceReport,
     depth_hopcounts,
     expected_deliverable,
     simulate_delivery,
@@ -12,8 +18,60 @@ from ffmcast.failsim import (
     verify_tolerance,
 )
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
-from ffmcast.topology import Link, complete_graph, load_topology
+from ffmcast.topology import HOST, Link, complete_graph, geant, load_topology
 from tests.test_protection import triangle
+from tests.test_topology import rand_connected
+
+
+def replace_entry(gs, switch, tag, *actions):
+    """Overwrite the (switch, tag) table-0 entry of gs's group with hand-built actions."""
+    key = (gs.installer.group_key, tag)
+    gs.fabric.switches[switch].tables[0][key] = {0: FlowEntry(0, key[0], tag, 0, actions)}
+
+
+def brute_force(gs, max_failures):
+    """Reference sweep: one simulate_delivery per failure set, baseline first.
+
+    Returns the reports in order and the ToleranceReport they add up to.
+    """
+    links = sorted(gs.net.links)
+    sets = [()] + [c for k in range(1, max_failures + 1) for c in combinations(links, k)]
+    reports = []
+    tol = ToleranceReport()
+    for combo in sets:
+        rep = simulate_delivery(gs, combo)
+        reports.append(rep)
+        tol.walks += 1
+        tol.duplicates += sum(1 for o in rep.outcomes.values() if o.copies > 1)
+        tol.stray += rep.stray
+        if gs.primary.terminals:
+            tol.unmatched += rep.unmatched
+        tol.loop_guard_tripped |= rep.loop_guard_tripped
+        if not combo:
+            tol.baseline_ok = rep.all_delivered and not rep.loop_guard_tripped
+            continue
+        tol.sets_checked += 1
+        for v, o in rep.outcomes.items():
+            if o.delivered:
+                continue
+            if expected_deliverable(gs, v, combo):
+                tol.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
+            else:
+                tol.excused += 1
+    return reports, tol
+
+
+def assert_matches_brute_force(gs, max_failures):
+    """verify_tolerance's case stream and report equal the brute-force sweep's."""
+    seen = []
+    fast = verify_tolerance(gs, max_failures=max_failures,
+                            on_case=lambda failed, rep: seen.append((failed, rep)))
+    reports, slow = brute_force(gs, max_failures)
+    assert [failed for failed, _ in seen] == [rep.failed for rep in reports]
+    assert [rep for _, rep in seen] == reports
+    assert dataclasses.replace(fast, walks=slow.walks) == slow
+    assert 1 <= fast.walks <= slow.walks
+    return fast
 
 
 def theta():
@@ -49,6 +107,33 @@ class TestSimulateDelivery:
         simulate_delivery(gs, [Link("A", "C")])
         assert gs.fabric.down == {Link("A", "B")}
         gs.fabric.set_link_state(Link("A", "B"), up=True)
+
+    def test_fabric_state_untouched_when_forward_raises(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        gs.fabric.set_link_state(Link("A", "B"), up=False)
+        replace_entry(gs, "A", None, ToGroup(99))
+        with pytest.raises(DataplaneError):
+            simulate_delivery(gs, [Link("A", "C")])
+        assert gs.fabric.down == {Link("A", "B")}
+
+    def test_ignores_the_fabric_link_state(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        gs.fabric.set_link_state(Link("A", "C"), up=False)
+        assert simulate_delivery(gs).outcomes["C"].hops == 1
+        assert simulate_delivery(gs, gs.fabric.down).outcomes["C"].hops == 2
+
+    def test_consulted_links_decide_the_walk(self):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        seen = set()
+        rep = simulate_delivery(gs, [Link("r", "a")], consulted=seen)
+        # r's group watched r-a, then forwarded to c over r-c, then c-b
+        assert seen == {Link("r", "a"), Link("r", "c"), Link("b", "c")}
+        # a link outside the consulted set cannot change the outcome
+        assert simulate_delivery(gs, [Link("r", "a"), Link("a", "b")]) == dataclasses.replace(
+            rep, failed=(Link("a", "b"), Link("r", "a")))
 
     def test_no_subscribers_no_deliveries(self):
         gs = GroupState(triangle(), "A")
@@ -110,6 +195,101 @@ class TestVerifyTolerance:
         verify_tolerance(gs, on_case=lambda failed, rep: seen.append(failed))
         assert seen[0] == ()
         assert len(seen) == 4  # baseline plus each single link
+
+    def test_duplicate_copies_fail(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        host = Output(PortId("C", HOST))
+        replace_entry(gs, "C", None, host, host)  # C delivers every primary copy twice
+        rep = assert_matches_brute_force(gs, 1)
+        assert rep.duplicates == 3  # baseline, A-B down, B-C down
+        assert not rep.unexcused and not rep.loop_guard_tripped
+        assert not rep.ok
+
+    def test_stray_deliveries_fail(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        # B relays the backup copy and also hands it to its own host
+        replace_entry(gs, "B", 1, Output(PortId("B", "C")), Output(PortId("B", HOST)))
+        rep = assert_matches_brute_force(gs, 1)
+        assert rep.stray == 1  # only A-C down takes the backup tree
+        assert not rep.unexcused and not rep.ok
+
+    def test_unmatched_packets_fail(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        replace_entry(gs, "B", 1, SetTag(7), Output(PortId("B", "C")))  # C knows no tag 7
+        rep = assert_matches_brute_force(gs, 1)
+        assert rep.unmatched == 1
+        assert not rep.ok
+
+    def test_empty_group_packet_is_not_unmatched(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        assert simulate_delivery(gs).unmatched == 1
+        rep = verify_tolerance(gs)
+        assert rep.unmatched == 0 and rep.ok
+
+    def test_walks_only_cores(self):
+        # regression guard: a fallback to one walk per set fails this
+        net = geant()
+        gs = GroupState(net, "AT", ProtectionConfig("spt", 2))
+        for v in net.nodes:
+            if v != "AT":
+                protect_join(gs, v)
+        rep = verify_tolerance(gs)
+        assert rep.sets_checked == 65 + math.comb(65, 2)
+        assert rep.ok
+        assert rep.walks * 2 < rep.sets_checked
+
+
+class TestVerifyMatchesBruteForce:
+    """The core-walking sweep against one simulate_delivery per failure set."""
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("topo", ["theta", "k5", "k8"])
+    def test_named_topologies(self, topo, budget, strategy):
+        net = {"theta": theta, "k5": lambda: complete_graph(5), "k8": lambda: complete_graph(8)}[topo]()
+        source = net.nodes[-1]
+        gs = GroupState(net, source, ProtectionConfig(strategy, budget))
+        for v in net.nodes[:-1]:
+            protect_join(gs, v)
+        assert assert_matches_brute_force(gs, budget).ok
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_random_graphs(self, seed):
+        rng = random.Random(seed)
+        net = rand_connected(rng, rng.randint(5, 9))
+        source = rng.choice(net.nodes)
+        budget = rng.randint(1, 3)
+        gs = GroupState(net, source, ProtectionConfig(rng.choice(["spt", "dst"]), budget))
+        others = [v for v in net.nodes if v != source]
+        for v in rng.sample(others, rng.randint(1, len(others))):
+            protect_join(gs, v)
+        # sweeping past the protected budget gives excused misses too
+        assert_matches_brute_force(gs, min(budget + rng.randint(0, 1), 3))
+
+    def test_groups_sharing_a_fabric(self):
+        rng = random.Random(99)
+        net = rand_connected(rng, 8)
+        fabric = SwitchFabric(net)
+        config = ProtectionConfig("spt", 2)
+        groups = [GroupState(net, s, config, fabric=fabric) for s in ("v00", "v07")]
+        for gs in groups:
+            for v in rng.sample([v for v in net.nodes if v != gs.source], 4):
+                protect_join(gs, v)
+        for gs in groups:
+            assert assert_matches_brute_force(gs, 2).ok
+
+    def test_loop_guard_trip(self):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 1))
+        protect_join(gs, "b")
+        # b bounces tag-1 copies back to c, which sends them to b again: a
+        # loop that only the r-a failure (backup tree 1) reaches
+        replace_entry(gs, "b", 1, Output(PortId("b", "c")))
+        rep = assert_matches_brute_force(gs, 2)
+        assert rep.loop_guard_tripped and rep.baseline_ok
+        assert not rep.ok
 
 
 class TestExpectedDeliverable:

@@ -187,6 +187,24 @@ class TestLeave:
         assert "switch B" in dump and "output:C" in dump
         assert dump.count("output:host") == 1
 
+    def test_leave_drops_unprotected_entries_of_pruned_trees(self):
+        net = geant()
+        gs = GroupState(net, "AT", ProtectionConfig("spt", 2))
+        others = [v for v in net.nodes if v != "AT"]
+        for v in others:
+            protect_join(gs, v)
+        joined = list(gs.unprotected)
+        assert len(joined) == 45
+        for v in others[:20]:
+            protect_leave(gs, v)
+        alive = {t.tag for t in gs.all_trees()}
+        assert gs.unprotected == [e for e in joined if e[0] in alive]
+        assert 0 < len(gs.unprotected) < len(joined)
+        for v in others[20:]:
+            protect_leave(gs, v)
+        assert gs.fabric.dump() == ""
+        assert gs.unprotected == []
+
     def test_random_round_trips(self):
         for seed in range(25):
             rng = random.Random(seed)
