@@ -33,7 +33,7 @@ class PortId:
     switch: str
     peer: str  # neighbor switch id, or HOST for the local host port
 
-    @property
+    @cached_property
     def is_host(self) -> bool:
         return self.peer == HOST
 
@@ -205,7 +205,9 @@ class SwitchFabric:
         (emissions, matched).
 
         Each emission is (egress port, outgoing tag). Group buckets operate
-        on copies of the packet; a list that mixes group and output actions
+        on copies of the packet. An entry's actions run in one pass: each
+        output is set aside with the tag current at that action and kept only
+        if no group action ran, so a list that mixes group and output actions
         executes only the group actions. When `consulted` is a set, the link
         of every watch port a group checked is added to it: the result is the
         same for any down set that agrees with `down` on those links.
@@ -221,14 +223,14 @@ class SwitchFabric:
                 break
             entry = prios[max(prios)]
             matched = True
-            acts = entry.actions
-            has_group = any(isinstance(a, ToGroup) for a in acts)
+            outputs = []
+            grouped = False
             goto = None
-            for a in acts:
+            for a in entry.actions:
                 if isinstance(a, Output):
-                    if not has_group:
-                        emissions.append((a.port, cur))
+                    outputs.append((a.port, cur))
                 elif isinstance(a, ToGroup):
+                    grouped = True
                     emissions.extend(self._run_group(sw, a.group, cur, down, consulted))
                 elif isinstance(a, SetTag):
                     cur = a.tag
@@ -236,6 +238,8 @@ class SwitchFabric:
                     cur = None
                 elif isinstance(a, GotoTable):
                     goto = a.table
+            if not grouped:
+                emissions.extend(outputs)
             if goto is None:
                 break
             if goto <= table:

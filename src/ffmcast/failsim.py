@@ -176,7 +176,7 @@ def verify_tolerance(
     bit = {link: 1 << i for i, link in enumerate(links)}
     report = ToleranceReport()
     counted = bool(gs.primary.terminals)  # an empty group's packet is unmatched by design
-    interned: dict[Delivery, Delivery] = {}
+    interned: dict[tuple, Delivery] = {}
     memo: dict[int, tuple[int, DeliveryReport]] = {}
 
     def walk(mask: int) -> tuple[int, DeliveryReport]:
@@ -199,7 +199,8 @@ def verify_tolerance(
         if mask.bit_count() < max_failures:
             outcomes = rep.outcomes
             for v, d in outcomes.items():
-                outcomes[v] = interned.setdefault(d, d)
+                # keyed by the fields as a plain tuple, which hashes in C
+                outcomes[v] = interned.setdefault((v, d.delivered, d.hops, d.copies), d)
             memo[mask] = (seen, rep)
         return seen, rep
 
@@ -354,6 +355,10 @@ def simulate_recovery(
         raise ValueError("rate_hz must be >= 0")
     if duration_ms is not None and duration_ms < 0:
         raise ValueError("duration_ms must be >= 0")
+    if affected_groups < 0:
+        raise ValueError("affected_groups must be >= 0")
+    if entries < 0:
+        raise ValueError("entries must be >= 0")
     outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
     window = outage if duration_ms is None else min(outage, duration_ms)
     lost = cuts * math.floor(window * rate_hz / 1000.0)

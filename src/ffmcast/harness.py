@@ -174,12 +174,15 @@ def georeplay(
     """Join every node in shuffled order, once per repetition, and measure.
 
     The complete preset defaults its source to the highest node id so tie
-    breaks do not pin the source; the geant preset defaults to AT.
+    breaks do not pin the source; the geant preset defaults to AT. n sizes
+    the complete preset only; the geant preset rejects it.
     """
     if preset == "complete":
         net = complete_graph(30 if n is None else n)
         src = source or max(net.nodes)
     elif preset == "geant":
+        if n is not None:
+            raise ValueError("n sizes the complete preset; the geant preset has a fixed size")
         net = geant()
         src = source or "AT"
     else:

@@ -51,8 +51,9 @@ class GroupState:
         self.fabric = fabric or SwitchFabric(net)
         self.installer = FlowInstaller(self.fabric, group_key or f"mcast-{source}")
         self.join_calls = 0
-        # (backup tag, protected edge, assumed-down links) with no usable path
-        self.unprotected: list[tuple[int, tuple[str, str], tuple[str, ...]]] = []
+        # (backup tag, protected edge, assumed-down links, subscriber) for
+        # each attach that found no usable path
+        self.unprotected: list[tuple[int, tuple[str, str], tuple[str, ...], str]] = []
 
     @property
     def source(self) -> str:
@@ -105,7 +106,6 @@ def protect_join(gs: GroupState, v: str) -> bool:
     if full is None:
         return False
     gs.installer.ensure_base(primary.root)
-    recorded = len(gs.unprotected)
     queue: deque[tuple[PathEdges, MulticastTree, frozenset[Link]]] = deque()
     if gs.config.max_failures > 0:
         queue.append((full, primary, frozenset()))
@@ -121,13 +121,13 @@ def protect_join(gs: GroupState, v: str) -> bool:
                     tree.backup[(x, y)] = b
                 bfull = _attach(gs, b, v, assumed)
                 if bfull is None:
-                    gs.unprotected.append((b.tag, (x, y), tuple(sorted(str(l) for l in assumed))))
+                    gs.unprotected.append((b.tag, (x, y), tuple(sorted(str(l) for l in assumed)), v))
                     continue
                 if len(assumed) < gs.config.max_failures:
                     queue.append((bfull, b, assumed))
     except TagSpaceExhausted:
-        # undo the partial join through the leave path; the tags it drew stay burned
-        del gs.unprotected[recorded:]
+        # undo the partial join through the leave path, which also drops the
+        # gs.unprotected entries it recorded; the tags it drew stay burned
         protect_leave(gs, v)
         raise
     return True
@@ -155,12 +155,11 @@ def _attach(gs: GroupState, tree: MulticastTree, v: str, avoid: frozenset[Link])
 def protect_leave(gs: GroupState, v: str) -> None:
     """Unsubscribe v everywhere; a no-op for non-subscribers.
 
-    The gs.unprotected entries of the backup trees it prunes go with them.
+    The gs.unprotected entries of v and of the backup trees it prunes go too.
     """
     dropped: set[int] = set()
     _leave(gs, gs.primary, v, dropped)
-    if dropped:
-        gs.unprotected[:] = [entry for entry in gs.unprotected if entry[0] not in dropped]
+    gs.unprotected[:] = [e for e in gs.unprotected if e[3] != v and e[0] not in dropped]
     if not gs.primary.terminals:
         gs.installer.remove_base()
 

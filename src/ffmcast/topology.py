@@ -11,9 +11,9 @@ import heapq
 import json
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import TopologyError
 
@@ -23,20 +23,26 @@ HOST = "host"
 CostFn = Callable[[str, str], float]
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    """Undirected link; endpoints are stored sorted so Link(a, b) == Link(b, a)."""
-
+class _Endpoints(NamedTuple):
     a: str
     b: str
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise TopologyError(f"self-loop on {self.a!r}")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+
+class Link(_Endpoints):
+    """Undirected link: the sorted endpoint pair, so Link(a, b) == Link(b, a).
+
+    A Link is a 2-tuple, so hashing, equality and ordering (by (a, b)) run
+    in C, and a Link compares equal to the plain tuple (a, b). Directed tree
+    edges are plain (parent, child) tuples; never look a Link up in a mapping
+    keyed by them (tree.backup, FlowInstaller._carrier).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: str, b: str) -> Link:
+        if a == b:
+            raise TopologyError(f"self-loop on {a!r}")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     def other(self, node: str) -> str:
         if node == self.a:

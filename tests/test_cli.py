@@ -141,6 +141,9 @@ class TestBadInput:
         (["verify", "--topology", "{topo}", "--scenario", "{scn}", "--max-sets", "-1"],
          "--max-sets: must be >= 0"),
         (["report", "--preset", "complete", "-n", "0"], "complete graph needs at least 2 nodes"),
+        (["recover", "--model", "switch", "--groups", "-5"], "affected_groups must be >= 0"),
+        (["recover", "--model", "restore", "--entries", "-3"], "entries must be >= 0"),
+        (["report", "--preset", "geant", "-n", "5"], "the geant preset has a fixed size"),
     ])
     def test_rejected(self, files, capsys, argv, message):
         topo, scn, _ = files

@@ -154,6 +154,26 @@ class TestForwardQuirks:
         assert matched
         assert [(p.peer, t) for p, t in out] == [("p1", None)]
 
+    def test_outputs_carry_the_tag_at_their_action(self):
+        fab = SwitchFabric(star(3))
+        acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")))
+        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        out, matched = fab.forward("S", "g", None, set())
+        assert matched
+        assert [(p.peer, t) for p, t in out] == [("p1", None), ("p2", 5)]
+
+    def test_group_action_drops_every_output(self):
+        fab = SwitchFabric(star(3))
+        inst = FlowInstaller(fab, "g")
+        inst.compile_path(_Tree("S"), [("S", "p3")])
+        inst._ensure_chain((0, ("S", "p3")))
+        acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")), ToGroup(1))
+        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        out, matched = fab.forward("S", "g", None, set())
+        assert matched
+        # the group runs with the tag current at its action
+        assert [(p.peer, t) for p, t in out] == [("p3", 5)]
+
     def test_priority_order(self):
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -27,6 +29,14 @@ def replace_entry(gs, switch, tag, *actions):
     """Overwrite the (switch, tag) table-0 entry of gs's group with hand-built actions."""
     key = (gs.installer.group_key, tag)
     gs.fabric.switches[switch].tables[0][key] = {0: FlowEntry(0, key[0], tag, 0, actions)}
+
+
+def geant_f2_all_joined():
+    gs = GroupState(geant(), "AT", ProtectionConfig("spt", 2))
+    for v in gs.net.nodes:
+        if v != "AT":
+            protect_join(gs, v)
+    return gs
 
 
 def brute_force(gs, max_failures):
@@ -231,15 +241,33 @@ class TestVerifyTolerance:
 
     def test_walks_only_cores(self):
         # regression guard: a fallback to one walk per set fails this
-        net = geant()
-        gs = GroupState(net, "AT", ProtectionConfig("spt", 2))
-        for v in net.nodes:
-            if v != "AT":
-                protect_join(gs, v)
+        gs = geant_f2_all_joined()
         rep = verify_tolerance(gs)
         assert rep.sets_checked == 65 + math.comb(65, 2)
         assert rep.ok
         assert rep.walks * 2 < rep.sets_checked
+
+
+class TestSweepRunsInC:
+    def test_no_python_hash_eq_or_is_host(self):
+        # regression guard: Link hashing and comparison, and PortId.is_host
+        # once cached, cost no Python-level call on the forwarding path
+        gs = geant_f2_all_joined()
+        first = verify_tolerance(gs)  # fills each port's cached properties
+        seen = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            again = verify_tolerance(gs)
+        finally:
+            sys.setprofile(None)
+        assert again == first and again.ok
+        assert seen["forward"] > 0
+        assert {n: seen[n] for n in ("__hash__", "__eq__", "is_host") if seen[n]} == {}
 
 
 class TestVerifyMatchesBruteForce:

@@ -81,7 +81,7 @@ class TestJoin:
         gs = GroupState(line("A", "B"), "A", ProtectionConfig("spt", 1))
         assert protect_join(gs, "B")
         assert gs.tags_allocated == 1  # burned on the attempt
-        assert gs.unprotected == [(1, ("A", "B"), ("A-B",))]
+        assert gs.unprotected == [(1, ("A", "B"), ("A-B",), "B")]
 
 
 class TestTags:
@@ -198,12 +198,26 @@ class TestLeave:
         for v in others[:20]:
             protect_leave(gs, v)
         alive = {t.tag for t in gs.all_trees()}
-        assert gs.unprotected == [e for e in joined if e[0] in alive]
+        assert gs.unprotected == [e for e in joined if e[0] in alive and e[3] in gs.subscribers]
         assert 0 < len(gs.unprotected) < len(joined)
         for v in others[20:]:
             protect_leave(gs, v)
         assert gs.fabric.dump() == ""
         assert gs.unprotected == []
+
+    def test_leave_drops_own_unprotected_entries(self):
+        net = geant()
+        gs = GroupState(net, "AT", ProtectionConfig("spt", 2))
+        for v in net.nodes:
+            if v != "AT":
+                protect_join(gs, v)
+        joined = list(gs.unprotected)
+        # one entry per subscriber whose attach failed, so none repeats
+        assert len(set(joined)) == len(joined) == 45
+        # the leave prunes only one of the 7 backup trees behind LV's entries
+        assert sum(1 for e in joined if e[3] == "LV") == 7
+        protect_leave(gs, "LV")
+        assert gs.unprotected == [e for e in joined if e[3] != "LV"]
 
     def test_random_round_trips(self):
         for seed in range(25):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -40,6 +42,20 @@ class TestLink:
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError):
             Link("A", "A")
+
+    def test_value_type_contract(self):
+        l = Link("B", "A")
+        assert l == Link("A", "B") and hash(l) == hash(Link("A", "B"))
+        assert l == ("A", "B")  # the sorted endpoint pair
+        assert (l.a, l.b) == ("A", "B")
+        assert repr(l) == "Link(a='A', b='B')"
+        for clone in (pickle.loads(pickle.dumps(l)), copy.copy(l), copy.deepcopy(l)):
+            assert type(clone) is Link and clone == l
+        assert l.other("B") == "A" and str(l) == "A-B"
+        rng = random.Random(5)
+        nodes = [f"n{i}" for i in range(12)] + ["N", "n", "a10", "a9"]
+        links = {Link(*rng.sample(nodes, 2)) for _ in range(60)}
+        assert sorted(links) == sorted(links, key=lambda l: (l.a, l.b))
 
 
 class TestLoadTopology:
