@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceeded
-from .failsim import RecoveryModel, simulate_recovery, verify_tolerance
+from .failsim import RECOVERY_MODES, RecoveryModel, simulate_recovery, verify_tolerance
 from .harness import (
+    PRESETS,
     delivery_rows,
     georeplay,
     load_scenario,
@@ -24,6 +25,7 @@ from .harness import (
 )
 from .protection import ProtectionConfig
 from .topology import complete_graph, geant, load_topology
+from .trees import JOIN_STRATEGIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +55,7 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tree_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tree", choices=("spt", "dst"), default="spt", help="join strategy")
+    p.add_argument("--tree", choices=tuple(JOIN_STRATEGIES), default="spt", help="join strategy")
     p.add_argument("-F", "--max-failures", type=int, default=1, metavar="INT",
                    help="link failures to survive (default 1)")
 
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_rec = sub.add_parser("recover", help="outage window to packets lost")
-    p_rec.add_argument("--model", choices=("ff", "switch", "restore"), required=True)
+    p_rec.add_argument("--model", choices=RECOVERY_MODES, required=True)
     p_rec.add_argument("--rtt-ms", type=float, default=0.0)
     p_rec.add_argument("--detect-ms", type=float, default=0.0)
     p_rec.add_argument("--rate-hz", type=float, default=120.0)
@@ -221,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(fn=cmd_recover)
 
     p_rep = sub.add_parser("report", help="replayed join sweep on a preset")
-    p_rep.add_argument("--preset", choices=("complete", "geant"), default="complete")
+    p_rep.add_argument("--preset", choices=PRESETS, default="complete")
     p_rep.add_argument("-n", type=int, default=None, help="complete preset size")
     p_rep.add_argument("--source", default=None)
     _add_tree_flags(p_rep)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--reps", type=_at_least(1), default=5)
-    p_rep.add_argument("--limit", type=int, default=32, help="group table capacity")
+    p_rep.add_argument("--limit", type=_at_least(0), default=32, help="group table capacity")
     p_rep.set_defaults(fn=cmd_report)
     return parser
 

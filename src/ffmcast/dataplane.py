@@ -129,13 +129,12 @@ class ChainGroup:
     actions); members are the cascade's own buckets in failover order.
     """
 
-    switch: str
     gid: int
+    owner_tag: int  # tree tag of the flow entry on this switch that references it
     drop_watch: list[PortId] = field(default_factory=list)
     members: list[_Member] = field(default_factory=list)
     copies: list[int] = field(default_factory=list)  # only on originals
     origin: int | None = None  # original gid when this is a copy
-    owner_flow: tuple[str, int] | None = None  # (switch, tree tag) that references it
 
     def buckets(self) -> list[Bucket]:
         rendered = [Bucket(p, (DropAction(),)) for p in self.drop_watch]
@@ -327,17 +326,17 @@ class _LogicalFlow:
 class FlowInstaller:
     """Compiles tree paths for one multicast group into switch state.
 
-    Keeps enough bookkeeping (which directed tree edge is carried by which
-    flow action or group bucket) to make installation idempotent and removal
-    an exact inverse.
+    Its records make installation idempotent and removal an exact inverse:
+    each flow's children say how its tree edges are carried (PLAIN or a gid),
+    and _buckets names the group holding each backup tree's first hop.
     """
 
     def __init__(self, fabric: SwitchFabric, group_key: str):
         self.fabric = fabric
         self.group_key = group_key
         self._flows: dict[tuple[str, int], _LogicalFlow] = {}
-        # (tree tag, directed edge) -> ("flow", switch) | ("chain", gid) | ("bucket", gid)
-        self._carrier: dict[tuple[int, tuple[str, str]], tuple[str, str | int]] = {}
+        # (backup tree tag, first-hop edge) -> gid of the group holding its bucket
+        self._buckets: dict[tuple[int, tuple[str, str]], int] = {}
         self._base_root: str | None = None
 
     # group base ----------------------------------------------------
@@ -370,18 +369,19 @@ class FlowInstaller:
         forwarding action of the (switch, tag) flow entry.
         """
         for a, b in path:
-            key = (tree.tag, (a, b))
-            if key in self._carrier:
-                continue
             if tree.tag != 0 and a == tree.root:
+                if (tree.tag, (a, b)) in self._buckets:
+                    continue
                 if tree.protects is None:
                     raise DataplaneError(f"backup tree {tree.tag} has no protected edge")
-                gid = self._ensure_chain(tree.protects)
-                self.add_backup_bucket(a, gid, PortId(a, b), tree.tag, edge=key)
+                self.add_backup_bucket(a, self._ensure_chain(tree.protects), PortId(a, b), tree.tag)
             else:
-                lf = self._flows.setdefault((a, tree.tag), _LogicalFlow())
+                lf = self._flows.get((a, tree.tag))
+                if lf is None:
+                    lf = self._flows[(a, tree.tag)] = _LogicalFlow()
+                elif (a, b) in lf.children:
+                    continue
                 lf.children[(a, b)] = PLAIN
-                self._carrier[key] = ("flow", a)
                 self._repack(a, tree.tag)
         if terminal is not None:
             lf = self._flows.setdefault((terminal, tree.tag), _LogicalFlow())
@@ -391,34 +391,26 @@ class FlowInstaller:
 
     def _ensure_chain(self, parent_key: tuple[int, tuple[str, str]]) -> int:
         """Group id of the failover chain that carries the given tree edge."""
-        try:
-            kind, ref = self._carrier[parent_key]
-        except KeyError:
-            raise DataplaneError(f"edge {parent_key} is not installed") from None
-        if kind in ("chain", "bucket"):
-            return int(ref)
-        # promote a plain output to a fast-failover group
+        if parent_key in self._buckets:
+            return self._buckets[parent_key]
         tag, edge = parent_key
-        switch = str(ref)
+        switch = edge[0]
+        lf = self._flows.get((switch, tag))
+        if lf is None or edge not in lf.children:
+            raise DataplaneError(f"edge {parent_key} is not installed")
+        if lf.children[edge] != PLAIN:
+            return int(lf.children[edge])
+        # promote a plain output to a fast-failover group
         sw = self.fabric.switches[switch]
         gid = sw.alloc_gid()
-        group = ChainGroup(switch, gid, owner_flow=(switch, tag))
+        group = ChainGroup(gid, tag)
         group.members.append(_Member(PortId(edge[0], edge[1]), None, parent_key))
         sw.groups[gid] = group
-        lf = self._flows[(switch, tag)]
         lf.children[edge] = gid
-        self._carrier[parent_key] = ("chain", gid)
         self._repack(switch, tag)
         return gid
 
-    def add_backup_bucket(
-        self,
-        switch: str,
-        gid: int,
-        backup_port: PortId,
-        backup_tag: int,
-        edge: tuple[int, tuple[str, str]] | None = None,
-    ) -> int:
+    def add_backup_bucket(self, switch: str, gid: int, backup_port: PortId, backup_tag: int) -> int:
         """Add a failover bucket for a backup tree's first hop.
 
         Appends to the given group unless it already serves another first hop
@@ -430,27 +422,24 @@ class FlowInstaller:
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"unknown group {gid} on {switch}")
-        if edge is None:
-            edge = (backup_tag, (switch, backup_port.peer))
+        edge = (backup_tag, (switch, backup_port.peer))
         member = _Member(backup_port, backup_tag, edge)
         first = next((i for i, m in enumerate(group.members) if m.set_tag == backup_tag), None)
         if first is None:
             group.members.append(member)
-            self._carrier[edge] = ("bucket", gid)
+            self._buckets[edge] = gid
             return gid
         # another egress for the same backup tree: copy the group
         origin_gid = group.origin if group.origin is not None else gid
         origin = sw.groups[origin_gid]
         copy_gid = sw.alloc_gid()
         prefix = list(group.drop_watch) + [m.watch for m in group.members[:first]]
-        copy = ChainGroup(switch, copy_gid, drop_watch=prefix, origin=origin_gid,
-                          owner_flow=origin.owner_flow)
+        copy = ChainGroup(copy_gid, origin.owner_tag, drop_watch=prefix, origin=origin_gid)
         copy.members.append(member)
         sw.groups[copy_gid] = copy
         origin.copies.append(copy_gid)
-        self._carrier[edge] = ("bucket", copy_gid)
-        if origin.owner_flow is not None:
-            self._repack(*origin.owner_flow)
+        self._buckets[edge] = copy_gid
+        self._repack(switch, origin.owner_tag)
         return copy_gid
 
     # removal -------------------------------------------------------
@@ -465,20 +454,16 @@ class FlowInstaller:
     def remove_edge(self, tree, edge: tuple[str, str]) -> None:
         """Undo compile_path for one directed tree edge (no-op if gone already)."""
         key = (tree.tag, edge)
-        ref = self._carrier.get(key)
-        if ref is None:
+        if key in self._buckets:
+            self._remove_member(self._buckets[key], key)
             return
-        kind, where = ref
-        if kind == "flow":
-            del self._carrier[key]
-            switch = str(where)
-            lf = self._flows[(switch, tree.tag)]
-            lf.children.pop(edge, None)
-            self._repack(switch, tree.tag)
-        elif kind == "chain":
-            self._delete_family(int(where), key)
-        else:
-            self._remove_member(int(where), key)
+        lf = self._flows.get((edge[0], tree.tag))
+        mode = None if lf is None else lf.children.get(edge)
+        if mode == PLAIN:
+            del lf.children[edge]
+            self._repack(edge[0], tree.tag)
+        elif mode is not None:
+            self._delete_family(int(mode), key)
 
     def _delete_family(self, gid: int, slot0_key: tuple[int, tuple[str, str]]) -> None:
         tag, edge = slot0_key
@@ -492,7 +477,7 @@ class FlowInstaller:
             if dead is None:
                 continue
             for m in dead.members:
-                self._carrier.pop(m.edge, None)
+                self._buckets.pop(m.edge, None)
         lf = self._flows.get((switch, tag))
         if lf is not None:
             lf.children.pop(edge, None)
@@ -502,11 +487,10 @@ class FlowInstaller:
         switch = key[1][0]
         sw = self.fabric.switches[switch]
         group = sw.groups.get(gid)
-        self._carrier.pop(key, None)
+        self._buckets.pop(key, None)
         if group is None:
             return
         group.members = [m for m in group.members if m.edge != key]
-        owner = group.owner_flow
         if group.origin is not None and not group.members:
             # a copy with nothing left to send vanishes
             sw.groups.pop(gid, None)
@@ -520,9 +504,7 @@ class FlowInstaller:
             lf = self._flows.get((switch, slot0.edge[0]))
             if lf is not None and slot0.edge[1] in lf.children:
                 lf.children[slot0.edge[1]] = PLAIN
-                self._carrier[slot0.edge] = ("flow", switch)
-        if owner is not None:
-            self._repack(*owner)
+        self._repack(switch, group.owner_tag)
 
     # table packing -------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 from .errors import BudgetExceeded, DataplaneError
 from .protection import GroupState
 from .topology import Link
-from .trees import MulticastTree
+from .trees import MulticastTree, backup_steps
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class DeliveryReport:
 def simulate_delivery(
     gs: GroupState,
     failed: Iterable[Link] = (),
-    max_hops: int | None = None,
     consulted: set[Link] | None = None,
 ) -> DeliveryReport:
     """Forward one packet from the source with the given links down.
@@ -61,9 +60,8 @@ def simulate_delivery(
     """
     fabric = gs.fabric
     down = frozenset(failed)
-    if max_hops is None:
-        # generous: one traversal of the topology per failover depth
-        max_hops = (gs.config.max_failures + 1) * max(len(gs.net.links), 1) + 2
+    # generous: one traversal of the topology per failover depth
+    max_hops = (gs.config.max_failures + 1) * max(len(gs.net.links), 1) + 2
     group_key = gs.installer.group_key
     arrived: dict[str, list[int]] = {}
     unmatched = 0
@@ -273,24 +271,18 @@ def depth_hopcounts(gs: GroupState, max_depth: int | None = None) -> list[float]
             raise DataplaneError(f"covered chain {{{names}}} did not deliver to {v}")
         return outcome.hops or 0
 
-    def chains(tree: MulticastTree, v: str, depth: int, failed: frozenset[Link]):
-        if depth == 0:
-            yield failed
-            return
-        if v not in tree.terminals:
-            return
-        for x, y in tree.path_to(v):
-            b = tree.backup.get((x, y))
-            if b is None or v not in b.terminals:
-                continue
-            yield from chains(b, v, depth - 1, failed | {Link(x, y)})
-
+    # per subscriber, the failure set of each covered chain, depth first
+    chains = {
+        v: [frozenset()] + [down for b, _, down in backup_steps(gs.primary, v) if v in b.terminals]
+        for v in sorted(gs.primary.terminals)
+    }
     means: list[float] = []
     for depth in range(max_depth + 1):
         samples = [
             hops_for(v, chain)
-            for v in sorted(gs.primary.terminals)
-            for chain in chains(gs.primary, v, depth, frozenset())
+            for v, covered in chains.items()
+            for chain in covered
+            if len(chain) == depth
         ]
         means.append(sum(samples) / len(samples) if samples else float("nan"))
     return means

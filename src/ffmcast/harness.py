@@ -50,8 +50,11 @@ def load_scenario(source: Mapping | str | Path) -> Scenario:
     src = data.get("source")
     if not isinstance(src, str) or not src:
         raise ValueError("scenario needs a non-empty 'source'")
+    raw_events = data.get("events", [])
+    if not isinstance(raw_events, list):
+        raise ValueError("scenario 'events' must be a list")
     events = []
-    for i, raw in enumerate(data.get("events", [])):
+    for i, raw in enumerate(raw_events):
         if not isinstance(raw, Mapping) or "op" not in raw:
             raise ValueError(f"event {i} needs an 'op'")
         op = raw["op"]

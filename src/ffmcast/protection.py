@@ -17,7 +17,7 @@ from .dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from .errors import TagSpaceExhausted, TopologyError
 # without_links is unused here but stays importable: perfbench's tracer wraps it by name
 from .topology import Link, Network, without_links  # noqa: F401
-from .trees import JOIN_STRATEGIES, MulticastTree, PathEdges, apply_path, join
+from .trees import JOIN_STRATEGIES, MulticastTree, PathEdges, apply_path, backup_steps, join
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class GroupState:
         source: str,
         config: ProtectionConfig | None = None,
         fabric: SwitchFabric | None = None,
-        group_key: str | None = None,
     ):
         if source not in net:
             raise TopologyError(f"unknown source node {source!r}")
@@ -49,11 +48,8 @@ class GroupState:
         self.config = config or ProtectionConfig()
         self.primary = MulticastTree(root=source)
         self.fabric = fabric or SwitchFabric(net)
-        self.installer = FlowInstaller(self.fabric, group_key or f"mcast-{source}")
+        self.installer = FlowInstaller(self.fabric, f"mcast-{source}")
         self.join_calls = 0
-        # (backup tag, protected edge, assumed-down links, subscriber) for
-        # each attach that found no usable path
-        self.unprotected: list[tuple[int, tuple[str, str], tuple[str, ...], str]] = []
 
     @property
     def source(self) -> str:
@@ -62,6 +58,18 @@ class GroupState:
     @property
     def subscribers(self) -> set[str]:
         return set(self.primary.terminals)
+
+    @property
+    def unprotected(self) -> list[tuple[int, tuple[str, str], tuple[str, ...], str]]:
+        """(backup tag, protected edge, assumed-down links, subscriber), sorted,
+        for each backup tree on a subscriber's protection path that does not
+        reach it. Computed from the trees on each read."""
+        return sorted(
+            (b.tag, edge, tuple(sorted(str(l) for l in down)), v)
+            for v in self.primary.terminals
+            for b, edge, down in backup_steps(self.primary, v)
+            if v not in b.terminals
+        )
 
     @property
     def tags_allocated(self) -> int:
@@ -91,7 +99,7 @@ def protect_join(gs: GroupState, v: str) -> bool:
     """Subscribe v; returns False when the primary tree cannot reach it.
 
     Tree edges that end up without a viable backup are skipped quietly and
-    recorded in gs.unprotected; delivery under failures hitting them is not
+    show up in gs.unprotected; delivery under failures hitting them is not
     promised. If the tag space runs out mid-join, the join is undone and
     TagSpaceExhausted propagates; the tags it drew are not returned.
     """
@@ -120,14 +128,10 @@ def protect_join(gs: GroupState, v: str) -> bool:
                     b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)))
                     tree.backup[(x, y)] = b
                 bfull = _attach(gs, b, v, assumed)
-                if bfull is None:
-                    gs.unprotected.append((b.tag, (x, y), tuple(sorted(str(l) for l in assumed)), v))
-                    continue
-                if len(assumed) < gs.config.max_failures:
+                if bfull is not None and len(assumed) < gs.config.max_failures:
                     queue.append((bfull, b, assumed))
     except TagSpaceExhausted:
-        # undo the partial join through the leave path, which also drops the
-        # gs.unprotected entries it recorded; the tags it drew stay burned
+        # undo the partial join through the leave path; the tags it drew stay burned
         protect_leave(gs, v)
         raise
     return True
@@ -153,19 +157,16 @@ def _attach(gs: GroupState, tree: MulticastTree, v: str, avoid: frozenset[Link])
 
 
 def protect_leave(gs: GroupState, v: str) -> None:
-    """Unsubscribe v everywhere; a no-op for non-subscribers.
-
-    The gs.unprotected entries of v and of the backup trees it prunes go too.
-    """
-    dropped: set[int] = set()
-    _leave(gs, gs.primary, v, dropped)
-    gs.unprotected[:] = [e for e in gs.unprotected if e[3] != v and e[0] not in dropped]
+    """Unsubscribe v everywhere; a no-op for non-subscribers and the source."""
+    if v not in gs.net:
+        raise TopologyError(f"unknown node {v!r}")
+    _leave(gs, gs.primary, v)
     if not gs.primary.terminals:
         gs.installer.remove_base()
 
 
-def _leave(gs: GroupState, tree: MulticastTree, v: str, dropped: set[int]) -> None:
-    """Take v off tree and its backups; collects the tags of pruned backup trees."""
+def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
+    """Take v off tree and its backups, dropping the backups of pruned edges."""
     if v == tree.root or v not in tree.terminals:
         return
     snapshot = tree.path_to(v)
@@ -188,8 +189,6 @@ def _leave(gs: GroupState, tree: MulticastTree, v: str, dropped: set[int]) -> No
     for edge in reversed(snapshot):
         b = tree.backup.get(edge)
         if b is not None:
-            _leave(gs, b, v, dropped)
+            _leave(gs, b, v)
     for edge in pruned:
-        b = tree.backup.pop(edge, None)
-        if b is not None:
-            dropped.add(b.tag)
+        tree.backup.pop(edge, None)

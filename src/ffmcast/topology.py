@@ -34,7 +34,7 @@ class Link(_Endpoints):
     A Link is a 2-tuple, so hashing, equality and ordering (by (a, b)) run
     in C, and a Link compares equal to the plain tuple (a, b). Directed tree
     edges are plain (parent, child) tuples; never look a Link up in a mapping
-    keyed by them (tree.backup, FlowInstaller._carrier).
+    keyed by them (tree.backup, _LogicalFlow.children, FlowInstaller._buckets).
     """
 
     __slots__ = ()
@@ -136,6 +136,8 @@ def load_topology(source: Mapping | str | Path) -> Network:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise TopologyError(f"link entry must be a pair, got {pair!r}")
         a, b = pair
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise TopologyError(f"link endpoints must be node id strings, got {pair!r}")
         if a not in node_set or b not in node_set:
             raise TopologyError(f"link [{a!r}, {b!r}] references an unknown node")
         parsed.append(Link(a, b))

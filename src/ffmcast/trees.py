@@ -9,7 +9,7 @@ nearest tree node.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import InvalidPathError, TopologyError
@@ -161,6 +161,30 @@ def dst_join(
     assert segment is not None
     pre = tree.path_to(w)
     return pre + [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
+
+
+def backup_steps(
+    tree: MulticastTree, v: str
+) -> Iterator[tuple[MulticastTree, tuple[str, str], frozenset[Link]]]:
+    """Walk v's protection hierarchy below tree, depth first.
+
+    For each edge on v's path in a tree that reaches v and has a backup,
+    yields (backup tree, protected edge, assumed-down links), then descends
+    into that backup if it reaches v too. Backups exist only down to the
+    failure budget, so the walk ends there.
+    """
+
+    def walk(t: MulticastTree, down: frozenset[Link]):
+        if v not in t.terminals:
+            return
+        for x, y in t.path_to(v):
+            b = t.backup.get((x, y))
+            if b is not None:
+                assumed = down | {Link(x, y)}
+                yield b, (x, y), assumed
+                yield from walk(b, assumed)
+
+    return walk(tree, frozenset())
 
 
 JOIN_STRATEGIES = {"spt": spt_join, "dst": dst_join}

@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ffmcast
 from ffmcast.cli import main
 
 TRIANGLE = {"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]}
@@ -16,6 +19,13 @@ SCENARIO = {
         {"op": "fail", "arg": "A-C"},
         {"op": "inject"},
     ],
+}
+# malformed input documents, written next to the good ones
+BAD_DOCS = {
+    "events_int": {"source": "A", "events": 5},
+    "events_null": {"source": "A", "events": None},
+    "leave_unknown": {"source": "A", "events": [{"op": "leave", "arg": "ZZ"}]},
+    "topo_list_end": {"nodes": ["A", "B"], "links": [["A", ["B"]]]},
 }
 
 
@@ -144,10 +154,23 @@ class TestBadInput:
         (["recover", "--model", "switch", "--groups", "-5"], "affected_groups must be >= 0"),
         (["recover", "--model", "restore", "--entries", "-3"], "entries must be >= 0"),
         (["report", "--preset", "geant", "-n", "5"], "the geant preset has a fixed size"),
+        (["run", "--topology", "{topo}", "--scenario", "{events_int}", "--out", "{tmp}/o"],
+         "'events' must be a list"),
+        (["verify", "--topology", "{topo}", "--scenario", "{events_null}"],
+         "'events' must be a list"),
+        (["run", "--topology", "{topo}", "--scenario", "{leave_unknown}", "--out", "{tmp}/o"],
+         "unknown node 'ZZ'"),
+        (["verify", "--topology", "{topo_list_end}", "--scenario", "{scn}"],
+         "link endpoints must be node id strings"),
+        (["report", "--preset", "complete", "-n", "4", "--limit", "-5"], "--limit: must be >= 0"),
     ])
     def test_rejected(self, files, capsys, argv, message):
-        topo, scn, _ = files
-        argv = [a.format(topo=topo, scn=scn) for a in argv]
+        topo, scn, tmp = files
+        docs = {}
+        for name, doc in BAD_DOCS.items():
+            docs[name] = tmp / f"{name}.json"
+            docs[name].write_text(json.dumps(doc))
+        argv = [a.format(topo=topo, scn=scn, tmp=tmp, **docs) for a in argv]
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -167,6 +190,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "packets lost: 0" in proc.stdout
+
+    def test_runtime_is_stdlib_only(self):
+        src = Path(ffmcast.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "before = set(sys.modules)\n"
+            "import ffmcast, ffmcast.cli\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = ast.literal_eval(proc.stdout)
+        assert "ffmcast" in loaded
+        assert [m for m in loaded if m != "ffmcast" and m not in sys.stdlib_module_names] == []
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

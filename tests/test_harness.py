@@ -46,6 +46,11 @@ class TestLoadScenario:
         with pytest.raises(ValueError):
             load_scenario({"events": []})
 
+    @pytest.mark.parametrize("events", [5, None, "join", {"op": "join"}])
+    def test_events_not_a_list(self, events):
+        with pytest.raises(ValueError, match="'events' must be a list"):
+            load_scenario({"source": "A", "events": events})
+
     def test_unknown_keys(self):
         with pytest.raises(ValueError):
             load_scenario({"source": "A", "events": [], "speed": 11})

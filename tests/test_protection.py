@@ -3,7 +3,7 @@ import random
 import pytest
 
 import ffmcast.protection
-from ffmcast.dataplane import MAX_TAG
+from ffmcast.dataplane import MAX_TAG, PLAIN
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
@@ -168,6 +168,15 @@ class TestLeave:
         protect_leave(gs, "C")
         protect_leave(gs, "A")
         assert gs.fabric.dump() == before
+
+    def test_leave_unknown_node(self):
+        gs = GroupState(triangle(), "A")
+        protect_join(gs, "B")
+        before = gs.fabric.dump()
+        with pytest.raises(TopologyError):
+            protect_leave(gs, "ZZ")
+        assert gs.fabric.dump() == before
+        assert gs.subscribers == {"B"}
 
     def test_shared_segment_survives(self):
         gs = GroupState(line("A", "B", "C", "D"), "A", ProtectionConfig("spt", 0))
@@ -338,3 +347,43 @@ class TestConfig:
         trees = gs.all_trees()
         assert trees[0] is gs.primary
         assert sorted(t.tag for t in trees) == sorted(range(gs.tags_allocated + 1))
+
+
+def check_installer_index(gs):
+    """The installer's records name exactly the live trees' state."""
+    inst = gs.installer
+    switches = gs.fabric.switches
+    first_hops = {(t.tag, (t.root, c)) for t in gs.all_trees()[1:] for c in t.children.get(t.root, ())}
+    assert set(inst._buckets) == first_hops
+    for key, gid in inst._buckets.items():
+        group = switches[key[1][0]].groups.get(gid)
+        assert group is not None and any(m.edge == key for m in group.members), key
+    for (switch, _), lf in inst._flows.items():
+        for mode in lf.children.values():
+            assert mode == PLAIN or mode in switches[switch].groups, (switch, mode)
+
+
+class TestInstallerIndex:
+    def test_index_tracks_random_join_leave(self):
+        for seed in range(36):
+            rng = random.Random(seed)
+            net = geant() if seed % 4 == 0 else rand_connected(rng, rng.randint(4, 12))
+            src = rng.choice(net.nodes)
+            config = ProtectionConfig(("spt", "dst")[seed // 4 % 2], 1 + seed % 3)
+            gs = GroupState(net, src, config)
+            others = [v for v in net.nodes if v != src]
+            for _ in range(40):
+                if gs.subscribers and rng.random() < 0.4:
+                    protect_leave(gs, rng.choice(sorted(gs.subscribers)))
+                else:
+                    protect_join(gs, rng.choice(others))
+                check_installer_index(gs)
+
+
+class TestUnprotected:
+    def test_read_only(self):
+        gs = GroupState(line("A", "B"), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "B")
+        with pytest.raises(AttributeError):
+            gs.unprotected = []
+        assert gs.unprotected == [(1, ("A", "B"), ("A-B",), "B")]

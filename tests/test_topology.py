@@ -78,6 +78,11 @@ class TestLoadTopology:
         with pytest.raises(TopologyError):
             load_topology({"nodes": ["A"], "links": [["A", "B"]]})
 
+    @pytest.mark.parametrize("pair", [["A", ["B"]], [["A"], "B"], ["A", {"B": 1}]])
+    def test_non_string_endpoint(self, pair):
+        with pytest.raises(TopologyError, match="node id strings"):
+            load_topology({"nodes": ["A", "B"], "links": [pair]})
+
     def test_missing_keys(self):
         with pytest.raises(TopologyError):
             load_topology({"nodes": ["A"]})
