@@ -3,7 +3,17 @@
 Each switch has up to 3 flow tables. Action lists are kept homogeneous at
 compile time (group actions, plain outputs, and host deliveries live in
 separate tables chained by goto) because a mixed list would only execute its
-group actions; forward() still implements that quirk faithfully.
+group actions; SwitchFabric.compile still implements that quirk faithfully.
+
+SwitchFabric.compile is the one reader of the tables and groups for
+forwarding. It flattens what a packet of one group does at one (switch, tag)
+into a record of plain tuples: whether it matched, its host deliveries, its
+static wires, and its fast-failover groups as watch links in failover order.
+Walks read records from the fabric's `view`, keyed by (group_key, switch,
+tag) and filled on first use; it persists across walks and sweeps. The
+installer drops exactly the key of each (switch, tag) it changes, so the view
+never goes stale. Code that edits tables or groups by hand must clear the
+view (or pop the keys it touched) afterwards.
 
 A fast-failover group is an ordered bucket list where the first bucket with a
 live watch port wins. Backup trees rooted at a switch add buckets to the
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import DataplaneError, TopologyError
 from .topology import HOST, Link, Network
@@ -33,11 +42,11 @@ class PortId:
     switch: str
     peer: str  # neighbor switch id, or HOST for the local host port
 
-    @cached_property
+    @property
     def is_host(self) -> bool:
         return self.peer == HOST
 
-    @cached_property
+    @property
     def link(self) -> Link:
         """The link behind the port (for a host port, one no topology has)."""
         return Link(self.switch, self.peer)
@@ -167,17 +176,28 @@ class SwitchState:
         return sum(len(prios) for prios in self.tables[table].values())
 
 
+# (link, peer switch, outgoing tag) of a static wire or a failover member; a
+# member watching the host port has peer HOST
+Wire = tuple[Link, str, int | None]
+# (links of the inherited Drop buckets, members in failover order)
+FFGroup = tuple[tuple[Link, ...], tuple[Wire, ...]]
+# (matched, outgoing tags of the host deliveries, static wires, groups)
+Record = tuple[bool, tuple[int | None, ...], tuple[Wire, ...], tuple[FFGroup, ...]]
+
+
 class SwitchFabric:
     """All switches of one network, plus the link state a harness keeps.
 
     Forwarding never reads `down`: callers pass the down links to forward(),
     so one fabric can be walked under many failure sets without mutation.
+    `view` caches compile() per (group_key, switch, tag) for walks.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self.switches = {n: SwitchState(n) for n in net.nodes}
         self.down: set[Link] = set()
+        self.view: dict[tuple[str, str, int | None], Record] = {}
 
     def set_link_state(self, link: Link, up: bool) -> None:
         if link not in self.net.links:
@@ -192,27 +212,20 @@ class SwitchFabric:
         """Whether the port's link is up; host ports always are."""
         return port.link not in down
 
-    def forward(
-        self,
-        switch: str,
-        group_key: str,
-        tag: int | None,
-        down: Set[Link],
-        consulted: set[Link] | None = None,
-    ) -> tuple[list[tuple[PortId, int | None]], bool]:
-        """Run one packet through a switch with the given links down; returns
-        (emissions, matched).
+    def compile(self, switch: str, group_key: str, tag: int | None) -> Record:
+        """What a packet of the group with this tag does at the switch, for any
+        down set: (matched, host delivery tags, static wires, groups).
 
-        Each emission is (egress port, outgoing tag). Group buckets operate
-        on copies of the packet. An entry's actions run in one pass: each
-        output is set aside with the tag current at that action and kept only
-        if no group action ran, so a list that mixes group and output actions
-        executes only the group actions. When `consulted` is a set, the link
-        of every watch port a group checked is added to it: the result is the
-        same for any down set that agrees with `down` on those links.
+        An entry's actions run in one pass: each output is set aside with the
+        tag current at that action and kept only if no group action ran, so a
+        list that mixes group and output actions keeps only its groups. A
+        group's members carry the tag current at its action unless they set
+        their own.
         """
         sw = self.switches[switch]
-        emissions: list[tuple[PortId, int | None]] = []
+        hosts: list[int | None] = []
+        wires: list[Wire] = []
+        groups: list[FFGroup] = []
         table = 0
         cur = tag
         matched = False
@@ -230,7 +243,7 @@ class SwitchFabric:
                     outputs.append((a.port, cur))
                 elif isinstance(a, ToGroup):
                     grouped = True
-                    emissions.extend(self._run_group(sw, a.group, cur, down, consulted))
+                    groups.append(self._compile_group(sw, a.group, cur))
                 elif isinstance(a, SetTag):
                     cur = a.tag
                 elif isinstance(a, PopTag):
@@ -238,40 +251,67 @@ class SwitchFabric:
                 elif isinstance(a, GotoTable):
                     goto = a.table
             if not grouped:
-                emissions.extend(outputs)
+                for port, out_tag in outputs:
+                    if port.is_host:
+                        hosts.append(out_tag)
+                    else:
+                        wires.append((port.link, port.peer, out_tag))
             if goto is None:
                 break
             if goto <= table:
                 raise DataplaneError(f"goto must increase the table index ({table} -> {goto})")
             table = goto
-        return emissions, matched
+        return matched, tuple(hosts), tuple(wires), tuple(groups)
 
     @staticmethod
-    def _run_group(
-        sw: SwitchState,
-        gid: int,
-        tag: int | None,
-        down: Set[Link],
-        consulted: set[Link] | None,
-    ) -> list[tuple[PortId, int | None]]:
+    def _compile_group(sw: SwitchState, gid: int, tag: int | None) -> FFGroup:
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"flow references unknown group {gid} on {sw.node}")
-        # first live bucket wins; an inherited Drop bucket consumes the packet
-        for port in group.drop_watch:
-            link = port.link
-            if consulted is not None:
-                consulted.add(link)
-            if link not in down:
-                return []
-        for m in group.members:
-            link = m.watch.link
-            if consulted is not None:
-                consulted.add(link)
-            if link not in down:
-                out_tag = tag if m.set_tag is None else m.set_tag
-                return [(m.watch, out_tag)]
-        return []
+        drops = tuple([port.link for port in group.drop_watch])
+        members = tuple([
+            (m.watch.link, m.watch.peer, tag if m.set_tag is None else m.set_tag)
+            for m in group.members
+        ])
+        return drops, members
+
+    def forward(
+        self,
+        switch: str,
+        group_key: str,
+        tag: int | None,
+        down: Set[Link],
+        consulted: set[Link] | None = None,
+    ) -> tuple[list[tuple[PortId, int | None]], bool]:
+        """Run one packet through a switch with the given links down; returns
+        (emissions, matched).
+
+        Each emission is (egress port, outgoing tag): the live member of each
+        group (an inherited Drop bucket that is live consumes the packet),
+        then the static wires, then the host deliveries. When `consulted` is
+        a set, the link of every watch port a group checked is added to it:
+        the result is the same for any down set that agrees with `down` on
+        those links. Reads a fresh compile(), never the view.
+        """
+        matched, hosts, wires, groups = self.compile(switch, group_key, tag)
+        emissions: list[tuple[PortId, int | None]] = []
+        for drops, members in groups:
+            # first live bucket wins; a live inherited Drop bucket consumes the packet
+            for link in drops:
+                if consulted is not None:
+                    consulted.add(link)
+                if link not in down:
+                    break
+            else:
+                for link, peer, out_tag in members:
+                    if consulted is not None:
+                        consulted.add(link)
+                    if link not in down:
+                        emissions.append((PortId(switch, peer), out_tag))
+                        break
+        emissions.extend((PortId(switch, peer), out_tag) for _, peer, out_tag in wires)
+        emissions.extend((PortId(switch, HOST), out_tag) for out_tag in hosts)
+        return emissions, matched
 
     # metrics -------------------------------------------------------
 
@@ -328,7 +368,8 @@ class FlowInstaller:
 
     Its records make installation idempotent and removal an exact inverse:
     each flow's children say how its tree edges are carried (PLAIN or a gid),
-    and _buckets names the group holding each backup tree's first hop.
+    and _buckets names the group holding each backup tree's first hop. Every
+    edit of a (switch, tag) drops that key from the fabric's view.
     """
 
     def __init__(self, fabric: SwitchFabric, group_key: str):
@@ -346,6 +387,7 @@ class FlowInstaller:
         sw = self.fabric.switches[root]
         entry = FlowEntry(0, self.group_key, None, -1, (DropAction(),))
         sw.tables[0].setdefault((self.group_key, None), {})[-1] = entry
+        self._drop_view(root, 0)
         self._base_root = root
 
     def remove_base(self) -> None:
@@ -357,7 +399,12 @@ class FlowInstaller:
             prios.pop(-1, None)
             if not prios:
                 del sw.tables[0][(self.group_key, None)]
+        self._drop_view(self._base_root, 0)
         self._base_root = None
+
+    def _drop_view(self, switch: str, tag: int) -> None:
+        """Forget the compiled record of one (switch, tree tag) after an edit."""
+        self.fabric.view.pop((self.group_key, switch, None if tag == 0 else tag), None)
 
     # install -------------------------------------------------------
 
@@ -428,6 +475,7 @@ class FlowInstaller:
         if first is None:
             group.members.append(member)
             self._buckets[edge] = gid
+            self._drop_view(switch, group.owner_tag)
             return gid
         # another egress for the same backup tree: copy the group
         origin_gid = group.origin if group.origin is not None else gid
@@ -517,6 +565,7 @@ class FlowInstaller:
         """
         sw = self.fabric.switches[switch]
         match_tag = None if tag == 0 else tag
+        self._drop_view(switch, tag)
         for t in range(3):
             prios = sw.tables[t].get((self.group_key, match_tag))
             if prios:

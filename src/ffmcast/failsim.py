@@ -15,21 +15,25 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BudgetExceeded, DataplaneError
 from .protection import GroupState
-from .topology import Link
+from .topology import HOST, Link
 from .trees import MulticastTree, backup_steps
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     subscriber: str
     delivered: bool
     hops: int | None  # switch hops of the first copy to arrive
     copies: int  # host deliveries seen; more than one means duplicates
+
+
+# a Delivery from its field tuple, without a Python-level __new__ call per walk
+_delivery = partial(tuple.__new__, Delivery)
 
 
 @dataclass
@@ -52,14 +56,17 @@ def simulate_delivery(
 ) -> DeliveryReport:
     """Forward one packet from the source with the given links down.
 
-    The walk reads the switch state and the `failed` links only; it leaves
+    The walk reads the fabric's compiled records (SwitchFabric.compile,
+    cached in `gs.fabric.view`) and the `failed` links only; it leaves
     `gs.fabric.down` (a harness's link state) alone. When `consulted` is a
     set, every link whose state the walk read is added to it: the watch
     ports of the groups that ran and the wires of the outputs taken. Any
     failure set that agrees with `failed` on those links gives the same walk.
     """
     fabric = gs.fabric
+    view = fabric.view
     down = frozenset(failed)
+    seen = consulted if consulted is not None else set()
     # generous: one traversal of the topology per failover depth
     max_hops = (gs.config.max_failures + 1) * max(len(gs.net.links), 1) + 2
     group_key = gs.installer.group_key
@@ -69,27 +76,48 @@ def simulate_delivery(
     queue: deque[tuple[str, int | None, int]] = deque([(gs.source, None, 0)])
     while queue:
         switch, tag, hops = queue.popleft()
-        emissions, matched = fabric.forward(switch, group_key, tag, down, consulted)
+        key = (group_key, switch, tag)
+        record = view.get(key)
+        if record is None:
+            record = view[key] = fabric.compile(switch, group_key, tag)
+        matched, hosts, wires, groups = record
         if not matched:
             unmatched += 1
             continue
-        for port, out_tag in emissions:
-            if port.is_host:
-                arrived.setdefault(port.switch, []).append(hops)
-                continue
-            link = port.link
-            if consulted is not None:
-                consulted.add(link)
+        if hosts:
+            arrived.setdefault(switch, []).extend([hops] * len(hosts))
+        nxt = hops + 1
+        for link, peer, out_tag in wires:
+            seen.add(link)
             if link in down:
                 continue  # plain outputs do not watch liveness; the wire eats it
-            if hops + 1 > max_hops:
+            if nxt > max_hops:
                 tripped = True
                 continue
-            queue.append((port.peer, out_tag, hops + 1))
+            queue.append((peer, out_tag, nxt))
+        for drops, members in groups:
+            # first live bucket wins; a live inherited Drop bucket consumes the packet
+            for link in drops:
+                seen.add(link)
+                if link not in down:
+                    break
+            else:
+                for link, peer, out_tag in members:
+                    seen.add(link)
+                    if link in down:
+                        continue
+                    if peer == HOST:
+                        arrived.setdefault(switch, []).append(hops)
+                    elif nxt > max_hops:
+                        tripped = True
+                    else:
+                        queue.append((peer, out_tag, nxt))
+                    break
     outcomes = {}
     for v in sorted(gs.primary.terminals):
-        hits = arrived.pop(v, [])
-        outcomes[v] = Delivery(v, bool(hits), min(hits) if hits else None, len(hits))
+        hits = arrived.pop(v, None)
+        # the queue is FIFO and every hop adds one, so the first copy is the nearest
+        outcomes[v] = _delivery((v, True, hits[0], len(hits)) if hits else (v, False, None, 0))
     stray = sum(len(hits) for hits in arrived.values())
     return DeliveryReport(tuple(sorted(down)), outcomes, unmatched, stray, tripped)
 
@@ -160,10 +188,11 @@ def verify_tolerance(
     core T & W(T). The core is found by the fixpoint C <- T & W(C) from
     C = {}: C stays inside T, so the walks under C and T read the same links
     up to the first link of T \\ C they meet, which the next step adds; the
-    steps stop at T & W(T). Walks are memoised by link bitmask, with the
-    Delivery objects they hold interned. Only sets smaller than the budget
-    are kept (a core as large as the budget is the one set it stands for),
-    so the memo holds at most sum(comb(links, k) for k < budget) reports.
+    steps stop at T & W(T). Walks are memoised by link bitmask, each with
+    its duplicate count and the subscribers it missed, and the Delivery
+    tuples they hold interned. Only sets smaller than the budget are kept (a
+    core as large as the budget is the one set it stands for), so the memo
+    holds at most sum(comb(links, k) for k < budget) reports.
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
@@ -174,11 +203,12 @@ def verify_tolerance(
     bit = {link: 1 << i for i, link in enumerate(links)}
     report = ToleranceReport()
     counted = bool(gs.primary.terminals)  # an empty group's packet is unmatched by design
-    interned: dict[tuple, Delivery] = {}
-    memo: dict[int, tuple[int, DeliveryReport]] = {}
+    interned: dict[Delivery, Delivery] = {}
+    # mask -> (links consulted, report, duplicates, subscribers missed)
+    memo: dict[int, tuple[int, DeliveryReport, int, tuple[str, ...]]] = {}
 
-    def walk(mask: int) -> tuple[int, DeliveryReport]:
-        """(links consulted, report) of the walk with the links of mask down."""
+    def walk(mask: int) -> tuple[int, DeliveryReport, int, tuple[str, ...]]:
+        """Memo entry of the walk with the links of mask down."""
         hit = memo.get(mask)
         if hit is not None:
             return hit
@@ -194,27 +224,29 @@ def verify_tolerance(
         seen = 0
         for link in consulted:
             seen |= bit.get(link, 0)
+        outcomes = rep.outcomes
+        dups = sum(1 for o in outcomes.values() if o.copies > 1)
+        missed = tuple(v for v, o in outcomes.items() if not o.delivered)
+        entry = (seen, rep, dups, missed)
         if mask.bit_count() < max_failures:
-            outcomes = rep.outcomes
             for v, d in outcomes.items():
-                # keyed by the fields as a plain tuple, which hashes in C
-                outcomes[v] = interned.setdefault((v, d.delivered, d.hops, d.copies), d)
-            memo[mask] = (seen, rep)
-        return seen, rep
+                outcomes[v] = interned.setdefault(d, d)
+            memo[mask] = entry
+        return entry
 
-    def tally(rep: DeliveryReport) -> None:
-        report.duplicates += sum(1 for o in rep.outcomes.values() if o.copies > 1)
+    def tally(rep: DeliveryReport, dups: int) -> None:
+        report.duplicates += dups
         report.stray += rep.stray
         if counted:
             report.unmatched += rep.unmatched
         if rep.loop_guard_tripped:
             report.loop_guard_tripped = True
 
-    _, baseline = walk(0)
+    _, baseline, dups, _ = walk(0)
     if on_case is not None:
         on_case((), _copy(baseline, ()))
     report.baseline_ok = baseline.all_delivered and not baseline.loop_guard_tripped
-    tally(baseline)
+    tally(baseline, dups)
     for k in range(1, max_failures + 1):
         for combo in combinations(links, k):
             failed = 0
@@ -222,18 +254,16 @@ def verify_tolerance(
                 failed |= bit[link]
             core = 0
             while True:
-                seen, rep = walk(core)
+                seen, rep, dups, missed = walk(core)
                 nxt = failed & seen
                 if nxt == core:
                     break
                 core = nxt
             report.sets_checked += 1
-            tally(rep)
+            tally(rep, dups)
             if on_case is not None:
                 on_case(combo, _copy(rep, combo))
-            for v, outcome in rep.outcomes.items():
-                if outcome.delivered:
-                    continue
+            for v in missed:
                 if expected_deliverable(gs, v, combo):
                     report.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
                 else:
@@ -312,8 +342,7 @@ class RecoveryModel:
         if self.mode not in RECOVERY_MODES:
             raise ValueError(f"unknown recovery mode {self.mode!r}")
         for name in ("detection_ms", "rtt_ms", "flowmod_ms", "compute_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            _require_nonnegative(name, getattr(self, name))
 
     def outage_ms(self, affected_groups: int = 1, entries: int = 1) -> float:
         if self.mode == "ff":
@@ -321,6 +350,14 @@ class RecoveryModel:
         if self.mode == "switch":
             return self.detection_ms + self.rtt_ms + self.flowmod_ms * affected_groups
         return self.detection_ms + self.rtt_ms + self.compute_ms + self.flowmod_ms * entries
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    """Reject a duration or rate that is not a finite number >= 0, naming it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -343,10 +380,9 @@ def simulate_recovery(
     """Packets lost to the outage windows of `cuts` repaired link failures."""
     if cuts < 0:
         raise ValueError("cuts must be >= 0")
-    if rate_hz < 0:
-        raise ValueError("rate_hz must be >= 0")
-    if duration_ms is not None and duration_ms < 0:
-        raise ValueError("duration_ms must be >= 0")
+    _require_nonnegative("rate_hz", rate_hz)
+    if duration_ms is not None:
+        _require_nonnegative("duration_ms", duration_ms)
     if affected_groups < 0:
         raise ValueError("affected_groups must be >= 0")
     if entries < 0:

@@ -163,6 +163,10 @@ class TestBadInput:
         (["verify", "--topology", "{topo_list_end}", "--scenario", "{scn}"],
          "link endpoints must be node id strings"),
         (["report", "--preset", "complete", "-n", "4", "--limit", "-5"], "--limit: must be >= 0"),
+        (["recover", "--model", "ff", "--detect-ms", "inf"], "detection_ms must be finite"),
+        (["recover", "--model", "switch", "--rate-hz", "nan"], "rate_hz must be finite"),
+        (["recover", "--model", "restore", "--rtt-ms", "nan"], "rtt_ms must be finite"),
+        (["recover", "--model", "ff", "--duration-ms=-inf"], "duration_ms must be finite"),
     ])
     def test_rejected(self, files, capsys, argv, message):
         topo, scn, tmp = files

@@ -64,6 +64,23 @@ def build_golden():
     return fab, inst, g, c1, c2
 
 
+def fill_view(fab, group_key):
+    """Cache the record of the untagged key and of every tag a table matches,
+    at every switch, as walks reaching them would."""
+    for switch, sw in fab.switches.items():
+        tags = {None} | {tag for table in sw.tables for gk, tag in table if gk == group_key}
+        for tag in tags:
+            key = (group_key, switch, tag)
+            if key not in fab.view:
+                fab.view[key] = fab.compile(switch, group_key, tag)
+
+
+def check_view(fab):
+    """Every record the fabric's view holds equals a fresh compile."""
+    for (group_key, switch, tag), record in fab.view.items():
+        assert record == fab.compile(switch, group_key, tag), (group_key, switch, tag)
+
+
 class TestChainGroups:
     def test_golden_copy_sequence(self):
         fab, _, g, c1, c2 = build_golden()
@@ -203,6 +220,48 @@ class TestForwardQuirks:
         fab = SwitchFabric(star(2))
         assert fab.port_live(PortId("S", "host"), {Link("S", "p1")})
         assert not fab.port_live(PortId("S", "p1"), {Link("S", "p1")})
+
+
+class TestCompile:
+    def test_record_layout(self):
+        fab, _, _, _, _ = build_golden()
+        link = lambda p: Link("S", p)
+        matched, hosts, wires, groups = fab.compile("S", "g", None)
+        assert matched and hosts == () and wires == ()
+        assert groups[0] == ((), ((link("p1"), "p1", None), (link("p2"), "p2", 1),
+                                  (link("p7"), "p7", 2), (link("p10"), "p10", 3)))
+        assert groups[1] == ((link("p1"), link("p2")), ((link("p8"), "p8", 2), (link("p11"), "p11", 4)))
+        assert fab.compile("S", "g", 5) == (False, (), (), ())
+
+    def test_hosts_split_from_wires(self):
+        fab = SwitchFabric(star(3))
+        acts = (Output(PortId("S", "p1")), Output(PortId("S", "host")), SetTag(5), Output(PortId("S", "p2")))
+        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        assert fab.compile("S", "g", None) == (
+            True, (None,), ((Link("S", "p1"), "p1", None), (Link("S", "p2"), "p2", 5)), ())
+
+    def test_installer_drops_each_key_it_changes(self):
+        fab = SwitchFabric(star(4))
+        inst = FlowInstaller(fab, "g")
+        tree = _Tree("S")
+        backup = _Tree("S", tag=1, protects=(0, ("S", "p1")))
+        steps = [
+            lambda: inst.ensure_base("S"),
+            lambda: inst.compile_path(tree, [("S", "p1")], terminal="p1"),
+            lambda: inst._ensure_chain((0, ("S", "p1"))),
+            lambda: inst.add_backup_bucket("S", 1, PortId("S", "p2"), 1),  # appends
+            lambda: inst.add_backup_bucket("S", 1, PortId("S", "p3"), 1),  # copies
+            lambda: inst.remove_edge(backup, ("S", "p3")),
+            lambda: inst.remove_edge(backup, ("S", "p2")),
+            lambda: inst.remove_terminal(tree, "p1"),
+            lambda: inst.remove_edge(tree, ("S", "p1")),
+            lambda: inst.remove_base(),
+        ]
+        for step in steps:
+            fill_view(fab, "g")
+            step()
+            check_view(fab)
+        assert fab.dump() == ""
 
 
 class TestInstallerLifecycle:

@@ -26,9 +26,13 @@ from tests.test_topology import rand_connected
 
 
 def replace_entry(gs, switch, tag, *actions):
-    """Overwrite the (switch, tag) table-0 entry of gs's group with hand-built actions."""
+    """Overwrite the (switch, tag) table-0 entry of gs's group with hand-built actions.
+
+    Like any edit made outside FlowInstaller, it clears the fabric's view.
+    """
     key = (gs.installer.group_key, tag)
     gs.fabric.switches[switch].tables[0][key] = {0: FlowEntry(0, key[0], tag, 0, actions)}
+    gs.fabric.view.clear()
 
 
 def geant_f2_all_joined():
@@ -155,10 +159,12 @@ class TestSimulateDelivery:
 
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 0))
         protect_join(gs, "B")
+        assert not simulate_delivery(gs).loop_guard_tripped  # fills the view
         # sabotage: make B bounce the packet back to A forever
         swb = gs.fabric.switches["B"]
         key = (gs.installer.group_key, None)
         swb.tables[0][key] = {0: FlowEntry(0, key[0], None, 0, (Output(PortId("B", "A")),))}
+        gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
         rep = simulate_delivery(gs)
         assert rep.loop_guard_tripped
 
@@ -250,10 +256,11 @@ class TestVerifyTolerance:
 
 class TestSweepRunsInC:
     def test_no_python_hash_eq_or_is_host(self):
-        # regression guard: Link hashing and comparison, and PortId.is_host
-        # once cached, cost no Python-level call on the forwarding path
+        # regression guard: Link hashing and comparison and PortId's
+        # properties cost no Python-level call on the forwarding path, and a
+        # sweep of an unchanged fabric compiles nothing
         gs = geant_f2_all_joined()
-        first = verify_tolerance(gs)  # fills each port's cached properties
+        first = verify_tolerance(gs)  # fills the fabric's view
         seen = collections.Counter()
 
         def profile(frame, event, arg):
@@ -266,8 +273,9 @@ class TestSweepRunsInC:
         finally:
             sys.setprofile(None)
         assert again == first and again.ok
-        assert seen["forward"] > 0
-        assert {n: seen[n] for n in ("__hash__", "__eq__", "is_host") if seen[n]} == {}
+        assert seen["simulate_delivery"] == again.walks > 0
+        assert seen["compile"] == 0
+        assert {n: seen[n] for n in ("__hash__", "__eq__", "is_host", "link") if seen[n]} == {}
 
 
 class TestVerifyMatchesBruteForce:

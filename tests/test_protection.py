@@ -3,11 +3,12 @@ import random
 import pytest
 
 import ffmcast.protection
-from ffmcast.dataplane import MAX_TAG, PLAIN
+from ffmcast.dataplane import MAX_TAG, PLAIN, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
-from ffmcast.failsim import verify_tolerance
+from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import Network, complete_graph, geant, load_topology
+from tests.test_dataplane import check_view, fill_view
 from tests.test_topology import rand_connected
 
 
@@ -378,6 +379,43 @@ class TestInstallerIndex:
                 else:
                     protect_join(gs, rng.choice(others))
                 check_installer_index(gs)
+
+
+class TestViewInvalidation:
+    """The view stays exact across installer edits, with no rebuild between them."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_cached_records_match_fresh_compiles(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        net = geant() if seed % 4 == 0 else rand_connected(rng, rng.randint(5, 12))
+        cut = seed % 4 == 3
+        budget = 1 + seed % 3
+        config = ProtectionConfig(("spt", "dst")[seed // 4 % 2], budget)
+        fabric = SwitchFabric(net)
+        groups = [GroupState(net, src, config, fabric=fabric)
+                  for src in rng.sample(net.nodes, rng.randint(2, 3))]
+        links = sorted(net.links)
+        rollbacks = 0
+        for step in range(150):
+            if cut and step == 50:  # the tag space runs out: joins roll back mid-way
+                most = max(g.tags_allocated for g in groups)
+                monkeypatch.setattr(ffmcast.protection, "MAX_TAG", most + budget)
+            gs = rng.choice(groups)
+            others = [v for v in net.nodes if v != gs.source]
+            roll = rng.random()
+            try:
+                if gs.subscribers and roll < 0.35:
+                    protect_leave(gs, rng.choice(sorted(gs.subscribers)))
+                elif roll < 0.8:
+                    protect_join(gs, rng.choice(others))
+                else:
+                    simulate_delivery(gs, rng.sample(links, rng.randint(1, budget)))
+            except TagSpaceExhausted:
+                rollbacks += 1
+            check_view(fabric)
+            for g in groups:  # so that the next edit meets a cached record at every key
+                fill_view(fabric, g.installer.group_key)
+        assert (rollbacks > 0) == cut
 
 
 class TestUnprotected:
