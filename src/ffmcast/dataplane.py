@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass, field
 
-from .errors import DataplaneError, TopologyError
+from .errors import DataplaneError
 from .topology import HOST, Link, Network
 
 MAX_TAG = 4094
@@ -186,31 +186,17 @@ Record = tuple[bool, tuple[int | None, ...], tuple[Wire, ...], tuple[FFGroup, ..
 
 
 class SwitchFabric:
-    """All switches of one network, plus the link state a harness keeps.
+    """All switches of one network.
 
-    Forwarding never reads `down`: callers pass the down links to forward(),
-    so one fabric can be walked under many failure sets without mutation.
-    `view` caches compile() per (group_key, switch, tag) for walks.
+    It keeps no link state: a failure set is the caller's input to forward()
+    and to walks, so one fabric can be walked under many failure sets without
+    mutation. `view` caches compile() per (group_key, switch, tag) for walks.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self.switches = {n: SwitchState(n) for n in net.nodes}
-        self.down: set[Link] = set()
         self.view: dict[tuple[str, str, int | None], Record] = {}
-
-    def set_link_state(self, link: Link, up: bool) -> None:
-        if link not in self.net.links:
-            raise TopologyError(f"unknown link {link}")
-        if up:
-            self.down.discard(link)
-        else:
-            self.down.add(link)
-
-    @staticmethod
-    def port_live(port: PortId, down: Set[Link]) -> bool:
-        """Whether the port's link is up; host ports always are."""
-        return port.link not in down
 
     def compile(self, switch: str, group_key: str, tag: int | None) -> Record:
         """What a packet of the group with this tag does at the switch, for any
@@ -517,41 +503,28 @@ class FlowInstaller:
         tag, edge = slot0_key
         switch = edge[0]
         sw = self.fabric.switches[switch]
-        origin = sw.groups.get(gid)
-        if origin is None:
-            return
-        for dead_gid in [gid, *origin.copies]:
-            dead = sw.groups.pop(dead_gid, None)
-            if dead is None:
-                continue
-            for m in dead.members:
-                self._buckets.pop(m.edge, None)
-        lf = self._flows.get((switch, tag))
-        if lf is not None:
-            lf.children.pop(edge, None)
-            self._repack(switch, tag)
+        for dead_gid in [gid, *sw.groups[gid].copies]:
+            for m in sw.groups.pop(dead_gid).members:
+                if m.set_tag is not None:  # the primary slot is a flow child, not a bucket
+                    del self._buckets[m.edge]
+        del self._flows[(switch, tag)].children[edge]
+        self._repack(switch, tag)
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
         switch = key[1][0]
         sw = self.fabric.switches[switch]
-        group = sw.groups.get(gid)
-        self._buckets.pop(key, None)
-        if group is None:
-            return
+        group = sw.groups[gid]
+        del self._buckets[key]
         group.members = [m for m in group.members if m.edge != key]
         if group.origin is not None and not group.members:
             # a copy with nothing left to send vanishes
-            sw.groups.pop(gid, None)
-            origin = sw.groups.get(group.origin)
-            if origin is not None and gid in origin.copies:
-                origin.copies.remove(gid)
+            del sw.groups[gid]
+            sw.groups[group.origin].copies.remove(gid)
         elif group.origin is None and len(group.members) == 1 and not group.copies:
             # only the primary slot remains: dissolve back to a plain output
             slot0 = group.members[0]
-            sw.groups.pop(gid, None)
-            lf = self._flows.get((switch, slot0.edge[0]))
-            if lf is not None and slot0.edge[1] in lf.children:
-                lf.children[slot0.edge[1]] = PLAIN
+            del sw.groups[gid]
+            self._flows[(switch, slot0.edge[0])].children[slot0.edge[1]] = PLAIN
         self._repack(switch, group.owner_tag)
 
     # table packing -------------------------------------------------

@@ -5,9 +5,10 @@ switches with a chosen set of links down and reports who got it; it can also
 report which links' state it read. verify_tolerance sweeps every failure set
 up to the configured budget, walking one packet per class of sets that
 forward alike, and flags subscribers that should have been reachable (per
-the installed backup trees) but were not. depth_hopcounts measures path
-stretch per failover depth, and the recovery models turn an outage window
-into lost packets.
+the installed backup trees) but were not. A failure set is always the
+caller's input: neither the fabric nor a DeliveryReport stores it.
+depth_hopcounts measures path stretch per failover depth, and the recovery
+models turn an outage window into lost packets.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ _delivery = partial(tuple.__new__, Delivery)
 
 @dataclass
 class DeliveryReport:
-    failed: tuple[Link, ...]
     outcomes: dict[str, Delivery]
     unmatched: int  # packets no flow entry wanted
     stray: int  # host deliveries at switches without a subscriber
@@ -57,11 +57,11 @@ def simulate_delivery(
     """Forward one packet from the source with the given links down.
 
     The walk reads the fabric's compiled records (SwitchFabric.compile,
-    cached in `gs.fabric.view`) and the `failed` links only; it leaves
-    `gs.fabric.down` (a harness's link state) alone. When `consulted` is a
-    set, every link whose state the walk read is added to it: the watch
-    ports of the groups that ran and the wires of the outputs taken. Any
-    failure set that agrees with `failed` on those links gives the same walk.
+    cached in `gs.fabric.view`) and the `failed` links only; the report does
+    not restate them. When `consulted` is a set, every link whose state the
+    walk read is added to it: the watch ports of the groups that ran and the
+    wires of the outputs taken. Any failure set that agrees with `failed` on
+    those links gives the same walk, and an equal report.
     """
     fabric = gs.fabric
     view = fabric.view
@@ -119,7 +119,7 @@ def simulate_delivery(
         # the queue is FIFO and every hop adds one, so the first copy is the nearest
         outcomes[v] = _delivery((v, True, hits[0], len(hits)) if hits else (v, False, None, 0))
     stray = sum(len(hits) for hits in arrived.values())
-    return DeliveryReport(tuple(sorted(down)), outcomes, unmatched, stray, tripped)
+    return DeliveryReport(outcomes, unmatched, stray, tripped)
 
 
 # tolerance sweep ---------------------------------------------------
@@ -181,18 +181,19 @@ def verify_tolerance(
     result too.
 
     Sets are taken in `combinations` order over the sorted links, after the
-    baseline (no link down). `on_case` is called once per set with a
-    DeliveryReport of its own, whose `failed` is the set and whose outcomes
-    and counts are those of its core. Only cores are walked: a walk under T
-    reads the state of the links W(T) only, so T forwards exactly like its
-    core T & W(T). The core is found by the fixpoint C <- T & W(C) from
-    C = {}: C stays inside T, so the walks under C and T read the same links
-    up to the first link of T \\ C they meet, which the next step adds; the
-    steps stop at T & W(T). Walks are memoised by link bitmask, each with
-    its duplicate count and the subscribers it missed, and the Delivery
-    tuples they hold interned. Only sets smaller than the budget are kept (a
-    core as large as the budget is the one set it stands for), so the memo
-    holds at most sum(comb(links, k) for k < budget) reports.
+    baseline (no link down). `on_case(failed, report)` is called once per
+    set with the set and the DeliveryReport of its core. Sets with the same
+    core share that report object, so the callback must treat it as
+    read-only. Only cores are walked: a walk under T reads the state of the
+    links W(T) only, so T forwards exactly like its core T & W(T). The core
+    is found by the fixpoint C <- T & W(C) from C = {}: C stays inside T, so
+    the walks under C and T read the same links up to the first link of
+    T \\ C they meet, which the next step adds; the steps stop at T & W(T).
+    Walks are memoised by link bitmask, each with its duplicate count and
+    the subscribers it missed, and the Delivery tuples they hold interned.
+    Only sets smaller than the budget are kept (a core as large as the
+    budget is the one set it stands for), so the memo holds at most
+    sum(comb(links, k) for k < budget) reports.
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
@@ -244,7 +245,7 @@ def verify_tolerance(
 
     _, baseline, dups, _ = walk(0)
     if on_case is not None:
-        on_case((), _copy(baseline, ()))
+        on_case((), baseline)
     report.baseline_ok = baseline.all_delivered and not baseline.loop_guard_tripped
     tally(baseline, dups)
     for k in range(1, max_failures + 1):
@@ -262,18 +263,13 @@ def verify_tolerance(
             report.sets_checked += 1
             tally(rep, dups)
             if on_case is not None:
-                on_case(combo, _copy(rep, combo))
+                on_case(combo, rep)
             for v in missed:
                 if expected_deliverable(gs, v, combo):
                     report.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
                 else:
                     report.excused += 1
     return report
-
-
-def _copy(rep: DeliveryReport, failed: tuple[Link, ...]) -> DeliveryReport:
-    """The report of a core, restated for one failure set that reduces to it."""
-    return DeliveryReport(failed, dict(rep.outcomes), rep.unmatched, rep.stray, rep.loop_guard_tripped)
 
 
 # stretch per failover depth ----------------------------------------

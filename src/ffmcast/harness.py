@@ -3,8 +3,10 @@
 A scenario is a JSON object {"source": node, "events": [{"op": ..., "arg": ...}]}
 with ops join, leave (arg: node), fail, restore (arg: link "a-b"), inject
 (send one packet under the current link state) and wait (accepted, ignored;
-the model has no clock). Metrics are snapshotted before the first event and
-after every membership change.
+the model has no clock). The link state belongs to the run: fail and restore
+edit a set of down links that run_scenario keeps, and inject hands it to the
+walk. Metrics are snapshotted before the first event and after every
+membership change.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ def run_scenario(net: Network, scenario: Scenario, config: ProtectionConfig | No
     gs = GroupState(net, scenario.source, config)
     result = RunResult(gs)
     result.snapshots.append(take_snapshot(gs, 0, "init"))
+    down: set[Link] = set()
     for event in scenario.events:
         if event.op == "join":
             if not protect_join(gs, event.arg):
@@ -133,12 +136,12 @@ def run_scenario(net: Network, scenario: Scenario, config: ProtectionConfig | No
             protect_leave(gs, event.arg)
             result.snapshots.append(take_snapshot(gs, len(result.snapshots), f"leave:{event.arg}"))
         elif event.op == "fail":
-            gs.fabric.set_link_state(parse_link(net, event.arg), up=False)
+            down.add(parse_link(net, event.arg))
         elif event.op == "restore":
-            gs.fabric.set_link_state(parse_link(net, event.arg), up=True)
+            down.discard(parse_link(net, event.arg))
         elif event.op == "inject":
-            down = tuple(sorted(gs.fabric.down))
-            result.injections.append((down, simulate_delivery(gs, down)))
+            failed = tuple(sorted(down))
+            result.injections.append((failed, simulate_delivery(gs, failed)))
         # wait: nothing to advance
     return result
 

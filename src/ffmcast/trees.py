@@ -43,10 +43,6 @@ class MulticastTree:
     def __post_init__(self) -> None:
         self.nodes.add(self.root)
 
-    @property
-    def edges(self) -> list[tuple[str, str]]:
-        return [(p, c) for c, p in sorted(self.parent.items(), key=lambda kv: (kv[1], kv[0]))]
-
     def edge_count(self) -> int:
         return len(self.parent)
 

@@ -10,8 +10,8 @@ from ffmcast.dataplane import (
     SwitchFabric,
     ToGroup,
 )
-from ffmcast.errors import DataplaneError, TopologyError
-from ffmcast.topology import Link, load_topology
+from ffmcast.errors import DataplaneError
+from ffmcast.topology import HOST, Link, load_topology
 
 GOLDEN_STAR_DUMP = """\
 switch S
@@ -113,20 +113,13 @@ class TestChainGroups:
         peers = {p.peer for p, _ in out}
         assert "p8" not in peers and "p9" not in peers
 
-    def test_fail_restore_is_involutive(self):
-        fab, _, _, _, _ = build_golden()
-        before, _ = fab.forward("S", "g", None, fab.down)
-        fab.set_link_state(Link("S", "p1"), up=False)
-        fab.set_link_state(Link("S", "p1"), up=True)
-        after, _ = fab.forward("S", "g", None, fab.down)
-        assert before == after
-
     def test_forward_reads_only_the_down_set_passed(self):
         fab, _, _, _, _ = build_golden()
-        fab.set_link_state(Link("S", "p1"), up=False)
+        fab.forward("S", "g", None, {Link("S", "p1")})
+        # an earlier call's down set leaves nothing behind
         out, _ = fab.forward("S", "g", None, set())
         assert [(p.peer, t) for p, t in out] == [("p1", None)]
-        assert fab.down == {Link("S", "p1")}
+        assert fab.dump() == GOLDEN_STAR_DUMP
 
     def test_consulted_links_are_the_watch_ports_checked(self):
         fab, _, _, _, _ = build_golden()
@@ -142,11 +135,6 @@ class TestChainGroups:
         seen.clear()
         out, _ = fab.forward("S", "g", None, {Link("S", "p1")}, seen)
         assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
-
-    def test_unknown_link_state(self):
-        fab = SwitchFabric(star(3))
-        with pytest.raises(TopologyError):
-            fab.set_link_state(Link("S", "nope"), up=False)
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
@@ -218,8 +206,13 @@ class TestForwardQuirks:
 
     def test_host_port_always_live(self):
         fab = SwitchFabric(star(2))
-        assert fab.port_live(PortId("S", "host"), {Link("S", "p1")})
-        assert not fab.port_live(PortId("S", "p1"), {Link("S", "p1")})
+        inst = FlowInstaller(fab, "g")
+        inst.compile_path(_Tree("S"), [("S", "p1")])
+        gid = inst._ensure_chain((0, ("S", "p1")))
+        inst.add_backup_bucket("S", gid, PortId("S", HOST), 1)
+        # with every link down, the bucket watching the host port still fires
+        out, _ = fab.forward("S", "g", None, set(fab.net.links))
+        assert [(p.peer, t) for p, t in out] == [(HOST, 1)]
 
 
 class TestCompile:

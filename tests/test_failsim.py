@@ -46,7 +46,8 @@ def geant_f2_all_joined():
 def brute_force(gs, max_failures):
     """Reference sweep: one simulate_delivery per failure set, baseline first.
 
-    Returns the reports in order and the ToleranceReport they add up to.
+    Returns the failure sets and their reports in order, and the
+    ToleranceReport they add up to.
     """
     links = sorted(gs.net.links)
     sets = [()] + [c for k in range(1, max_failures + 1) for c in combinations(links, k)]
@@ -72,7 +73,7 @@ def brute_force(gs, max_failures):
                 tol.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
             else:
                 tol.excused += 1
-    return reports, tol
+    return sets, reports, tol
 
 
 def assert_matches_brute_force(gs, max_failures):
@@ -80,8 +81,8 @@ def assert_matches_brute_force(gs, max_failures):
     seen = []
     fast = verify_tolerance(gs, max_failures=max_failures,
                             on_case=lambda failed, rep: seen.append((failed, rep)))
-    reports, slow = brute_force(gs, max_failures)
-    assert [failed for failed, _ in seen] == [rep.failed for rep in reports]
+    sets, reports, slow = brute_force(gs, max_failures)
+    assert [failed for failed, _ in seen] == sets
     assert [rep for _, rep in seen] == reports
     assert dataclasses.replace(fast, walks=slow.walks) == slow
     assert 1 <= fast.walks <= slow.walks
@@ -114,29 +115,12 @@ class TestSimulateDelivery:
         assert rep.outcomes["C"].hops == 2
         assert rep.outcomes["C"].copies == 1
 
-    def test_fabric_state_untouched(self):
+    def test_unknown_group_reference_raises(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
-        gs.fabric.set_link_state(Link("A", "B"), up=False)
-        simulate_delivery(gs, [Link("A", "C")])
-        assert gs.fabric.down == {Link("A", "B")}
-        gs.fabric.set_link_state(Link("A", "B"), up=True)
-
-    def test_fabric_state_untouched_when_forward_raises(self):
-        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
-        protect_join(gs, "C")
-        gs.fabric.set_link_state(Link("A", "B"), up=False)
         replace_entry(gs, "A", None, ToGroup(99))
         with pytest.raises(DataplaneError):
             simulate_delivery(gs, [Link("A", "C")])
-        assert gs.fabric.down == {Link("A", "B")}
-
-    def test_ignores_the_fabric_link_state(self):
-        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
-        protect_join(gs, "C")
-        gs.fabric.set_link_state(Link("A", "C"), up=False)
-        assert simulate_delivery(gs).outcomes["C"].hops == 1
-        assert simulate_delivery(gs, gs.fabric.down).outcomes["C"].hops == 2
 
     def test_consulted_links_decide_the_walk(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
@@ -146,8 +130,7 @@ class TestSimulateDelivery:
         # r's group watched r-a, then forwarded to c over r-c, then c-b
         assert seen == {Link("r", "a"), Link("r", "c"), Link("b", "c")}
         # a link outside the consulted set cannot change the outcome
-        assert simulate_delivery(gs, [Link("r", "a"), Link("a", "b")]) == dataclasses.replace(
-            rep, failed=(Link("a", "b"), Link("r", "a")))
+        assert simulate_delivery(gs, [Link("r", "a"), Link("a", "b")]) == rep
 
     def test_no_subscribers_no_deliveries(self):
         gs = GroupState(triangle(), "A")
@@ -211,6 +194,16 @@ class TestVerifyTolerance:
         verify_tolerance(gs, on_case=lambda failed, rep: seen.append(failed))
         assert seen[0] == ()
         assert len(seen) == 4  # baseline plus each single link
+
+    def test_on_case_leaves_the_result_alone(self):
+        theta_f0 = GroupState(theta(), "r", ProtectionConfig("spt", 0))
+        protect_join(theta_f0, "b")
+        for gs, budget in ((geant_f2_all_joined(), 2), (theta_f0, 2)):
+            seen = []
+            with_cb = verify_tolerance(gs, max_failures=budget,
+                                       on_case=lambda failed, rep: seen.append(failed))
+            assert with_cb == verify_tolerance(gs, max_failures=budget)
+            assert len(seen) == with_cb.sets_checked + 1
 
     def test_duplicate_copies_fail(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))

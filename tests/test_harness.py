@@ -15,7 +15,7 @@ from ffmcast.harness import (
     write_metrics_csv,
 )
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
-from ffmcast.topology import complete_graph, load_topology
+from ffmcast.topology import Link, complete_graph, load_topology
 from tests.test_protection import triangle
 
 
@@ -94,6 +94,26 @@ class TestRunScenario:
         failed, rep = result.injections[0]
         assert [str(l) for l in failed] == ["A-B"]
         assert rep.outcomes["B"].delivered  # detour via C
+
+    def test_fail_restore_is_involutive(self):
+        s = scenario(
+            "A",
+            {"op": "join", "arg": "B"},
+            {"op": "join", "arg": "C"},
+            {"op": "inject"},
+            {"op": "fail", "arg": "A-B"},
+            {"op": "inject"},
+            {"op": "restore", "arg": "A-B"},
+            {"op": "inject"},
+        )
+        before, during, after = run_scenario(triangle(), s, ProtectionConfig("spt", 1)).injections
+        assert during[0] == (Link("A", "B"),) and during[1] != before[1]  # B detours via C
+        assert before[0] == () and before == after
+
+    def test_unknown_link_state(self):
+        for op in ("fail", "restore"):
+            with pytest.raises(TopologyError):
+                run_scenario(triangle(), scenario("A", {"op": op, "arg": "A-Z"}))
 
     def test_leave_all_returns_to_zero(self):
         s = scenario(
