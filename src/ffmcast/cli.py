@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, TagSpaceExhausted
 from .failsim import RECOVERY_MODES, RecoveryModel, simulate_recovery, verify_tolerance
 from .harness import (
     PRESETS,
@@ -111,12 +111,7 @@ def cmd_verify(args) -> int:
     def on_case(failed, rep):
         rows.extend(delivery_rows(failed, rep))
 
-    try:
-        report = verify_tolerance(gs, max_sets=args.max_sets,
-                                  on_case=on_case if args.out else None)
-    except BudgetExceeded as exc:
-        print(f"ffmcast: error: {exc}", file=sys.stderr)
-        return 2
+    report = verify_tolerance(gs, max_sets=args.max_sets, on_case=on_case if args.out else None)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -238,8 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        # bad input file or argument, not a bug: no traceback
+    except (ValueError, OSError, TagSpaceExhausted, BudgetExceeded) as exc:
+        # bad input or a request beyond a limit, not a bug: no traceback
         print(f"ffmcast: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,12 @@
 """Emulated OpenFlow-style dataplane: flow tables, fast-failover groups, tags.
 
-Each switch has up to 3 flow tables. Action lists are kept homogeneous at
-compile time (group actions, plain outputs, and host deliveries live in
-separate tables chained by goto) because a mixed list would only execute its
-group actions; SwitchFabric.compile still implements that quirk faithfully.
+Switch state is kept as the keys the installer works with. Each switch has
+up to 3 flow tables; tables[t][(group_key, tag)] maps priority to an action
+tuple, where tag None matches untagged packets. Action lists are kept
+homogeneous at compile time (group actions, plain outputs, and host
+deliveries live in separate tables chained by goto) because a mixed list
+would only execute its group actions; SwitchFabric.compile still implements
+that quirk faithfully.
 
 SwitchFabric.compile is the one reader of the tables and groups for
 forwarding. It flattens what a packet of one group does at one (switch, tag)
@@ -16,11 +19,14 @@ never goes stale. Code that edits tables or groups by hand must clear the
 view (or pop the keys it touched) afterwards.
 
 A fast-failover group is an ordered bucket list where the first bucket with a
-live watch port wins. Backup trees rooted at a switch add buckets to the
-group protecting the link they cover; when one backup tree needs several
-egress ports at the same switch, the extra ports get copies of the group
-whose inherited buckets are rewritten to Drop so each copy emits at most one
-packet, and the owning flow entry points at the copies as well.
+live watch port wins. Each bucket is named by the tree edge it carries,
+(tree tag, directed edge): it watches and outputs to the edge's far end and
+stamps the tree tag, except the primary slot, which keeps the packet's tag.
+Backup trees rooted at a switch add buckets to the group protecting the
+link they cover; when one backup tree needs several egress ports at the
+same switch, the extra ports get copies of the group whose inherited
+buckets are rewritten to Drop so each copy emits at most one packet, and
+the owning flow entry points at the copies as well.
 """
 
 from __future__ import annotations
@@ -103,65 +109,32 @@ def render_action(action: Action) -> str:
     return "Drop"
 
 
-@dataclass(frozen=True)
-class FlowEntry:
-    table: int
-    group_key: str
-    tag: int | None  # None matches untagged packets
-    priority: int
-    actions: tuple[Action, ...]
-
-
-@dataclass(frozen=True)
-class Bucket:
-    watch: PortId
-    actions: tuple[Action, ...]
-
-    def render(self) -> str:
-        return f"{self.watch.peer}|{','.join(render_action(a) for a in self.actions)}"
-
-
-@dataclass
-class _Member:
-    """Live bucket of a chain group: forwards out of its watch port."""
-
-    watch: PortId
-    set_tag: int | None  # None keeps the packet's current tag (primary slot)
-    edge: tuple[int, tuple[str, str]]  # (tree tag, directed edge) it carries
-
-
 @dataclass
 class ChainGroup:
     """Fast-failover group holding one failover cascade.
 
-    drop_watch is the inherited prefix of a copy (same watch ports, Drop
-    actions); members are the cascade's own buckets in failover order.
+    members are the cascade's own buckets in failover order, each the
+    (tree tag, directed edge) it carries: the bucket watches and outputs to
+    edge[1] and stamps the tag. The primary slot, members[0] of an original,
+    carries owner_tag and keeps the packet's tag instead; a backup tree has
+    no flow entry at its own root, so no backup bucket carries owner_tag.
+    drop_watch holds the edges of a copy's inherited prefix (same watch
+    ports, Drop actions).
     """
 
     gid: int
     owner_tag: int  # tree tag of the flow entry on this switch that references it
-    drop_watch: list[PortId] = field(default_factory=list)
-    members: list[_Member] = field(default_factory=list)
+    drop_watch: list[tuple[str, str]] = field(default_factory=list)
+    members: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
     copies: list[int] = field(default_factory=list)  # only on originals
     origin: int | None = None  # original gid when this is a copy
-
-    def buckets(self) -> list[Bucket]:
-        rendered = [Bucket(p, (DropAction(),)) for p in self.drop_watch]
-        for m in self.members:
-            acts: tuple[Action, ...]
-            if m.set_tag is None:
-                acts = (Output(m.watch),)
-            else:
-                acts = (SetTag(m.set_tag), Output(m.watch))
-            rendered.append(Bucket(m.watch, acts))
-        return rendered
 
 
 class SwitchState:
     def __init__(self, node: str):
         self.node = node
-        # table index -> (group_key, tag) -> priority -> entry
-        self.tables: list[dict[tuple[str, int | None], dict[int, FlowEntry]]] = [{}, {}, {}]
+        # table index -> (group_key, tag) -> priority -> actions
+        self.tables: list[dict[tuple[str, int | None], dict[int, tuple[Action, ...]]]] = [{}, {}, {}]
         self.groups: dict[int, ChainGroup] = {}
         self._next_gid = 1
 
@@ -170,10 +143,8 @@ class SwitchState:
         self._next_gid += 1
         return gid
 
-    def flow_count(self, table: int | None = None) -> int:
-        if table is None:
-            return sum(len(prios) for tbl in self.tables for prios in tbl.values())
-        return sum(len(prios) for prios in self.tables[table].values())
+    def flow_count(self) -> int:
+        return sum(len(prios) for tbl in self.tables for prios in tbl.values())
 
 
 # (link, peer switch, outgoing tag) of a static wire or a failover member; a
@@ -219,12 +190,11 @@ class SwitchFabric:
             prios = sw.tables[table].get((group_key, cur))
             if not prios:
                 break
-            entry = prios[max(prios)]
             matched = True
             outputs = []
             grouped = False
             goto = None
-            for a in entry.actions:
+            for a in prios[max(prios)]:
                 if isinstance(a, Output):
                     outputs.append((a.port, cur))
                 elif isinstance(a, ToGroup):
@@ -254,10 +224,10 @@ class SwitchFabric:
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"flow references unknown group {gid} on {sw.node}")
-        drops = tuple([port.link for port in group.drop_watch])
+        drops = tuple([Link(*edge) for edge in group.drop_watch])
         members = tuple([
-            (m.watch.link, m.watch.peer, tag if m.set_tag is None else m.set_tag)
-            for m in group.members
+            (Link(*edge), edge[1], tag if m_tag == group.owner_tag else m_tag)
+            for m_tag, edge in group.members
         ])
         return drops, members
 
@@ -301,8 +271,8 @@ class SwitchFabric:
 
     # metrics -------------------------------------------------------
 
-    def flow_counts(self) -> dict[str, list[int]]:
-        return {n: [sw.flow_count(t) for t in range(3)] for n, sw in self.switches.items()}
+    def flow_counts(self) -> dict[str, int]:
+        return {n: sw.flow_count() for n, sw in self.switches.items()}
 
     def group_counts(self) -> dict[str, int]:
         return {n: len(sw.groups) for n, sw in self.switches.items()}
@@ -325,19 +295,22 @@ class SwitchFabric:
                 for (gk, tag), prios in sw.tables[t].items():
                     if group_key is not None and gk != group_key:
                         continue
-                    for prio, entry in prios.items():
-                        entries.append((t, gk, tag is not None, tag or 0, prio, entry))
+                    for prio, actions in prios.items():
+                        entries.append((t, gk, tag is not None, tag or 0, prio, actions))
             if not entries and not sw.groups:
                 continue
             lines.append(f"switch {node}")
-            for t, gk, _, _, prio, entry in sorted(entries, key=lambda e: e[:5]):
-                tag_s = "untagged" if entry.tag is None else str(entry.tag)
-                acts = ",".join(render_action(a) for a in entry.actions)
+            for t, gk, tagged, tag, prio, actions in sorted(entries, key=lambda e: e[:5]):
+                tag_s = str(tag) if tagged else "untagged"
+                acts = ",".join(render_action(a) for a in actions)
                 lines.append(f"  flow table={t} match=({gk},{tag_s}) prio={prio} actions={acts}")
             for gid in sorted(sw.groups):
+                group = sw.groups[gid]
                 lines.append(f"  group {gid}")
-                for bucket in sw.groups[gid].buckets():
-                    lines.append(f"    {bucket.render()}")
+                lines.extend(f"    {peer}|Drop" for _, peer in group.drop_watch)
+                for tag, (_, peer) in group.members:
+                    stamp = "" if tag == group.owner_tag else f"tag={tag},"
+                    lines.append(f"    {peer}|{stamp}output:{peer}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -371,8 +344,7 @@ class FlowInstaller:
     def ensure_base(self, root: str) -> None:
         """Low-priority drop at the sourcing switch so unsubscribed traffic dies quietly."""
         sw = self.fabric.switches[root]
-        entry = FlowEntry(0, self.group_key, None, -1, (DropAction(),))
-        sw.tables[0].setdefault((self.group_key, None), {})[-1] = entry
+        sw.tables[0].setdefault((self.group_key, None), {})[-1] = (DropAction(),)
         self._drop_view(root, 0)
         self._base_root = root
 
@@ -436,9 +408,7 @@ class FlowInstaller:
         # promote a plain output to a fast-failover group
         sw = self.fabric.switches[switch]
         gid = sw.alloc_gid()
-        group = ChainGroup(gid, tag)
-        group.members.append(_Member(PortId(edge[0], edge[1]), None, parent_key))
-        sw.groups[gid] = group
+        sw.groups[gid] = ChainGroup(gid, tag, members=[parent_key])
         lf.children[edge] = gid
         self._repack(switch, tag)
         return gid
@@ -455,24 +425,21 @@ class FlowInstaller:
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"unknown group {gid} on {switch}")
-        edge = (backup_tag, (switch, backup_port.peer))
-        member = _Member(backup_port, backup_tag, edge)
-        first = next((i for i, m in enumerate(group.members) if m.set_tag == backup_tag), None)
+        key = (backup_tag, (switch, backup_port.peer))
+        first = next((i for i, (tag, _) in enumerate(group.members) if tag == backup_tag), None)
         if first is None:
-            group.members.append(member)
-            self._buckets[edge] = gid
+            group.members.append(key)
+            self._buckets[key] = gid
             self._drop_view(switch, group.owner_tag)
             return gid
         # another egress for the same backup tree: copy the group
         origin_gid = group.origin if group.origin is not None else gid
         origin = sw.groups[origin_gid]
         copy_gid = sw.alloc_gid()
-        prefix = list(group.drop_watch) + [m.watch for m in group.members[:first]]
-        copy = ChainGroup(copy_gid, origin.owner_tag, drop_watch=prefix, origin=origin_gid)
-        copy.members.append(member)
-        sw.groups[copy_gid] = copy
+        prefix = group.drop_watch + [edge for _, edge in group.members[:first]]
+        sw.groups[copy_gid] = ChainGroup(copy_gid, origin.owner_tag, prefix, [key], origin=origin_gid)
         origin.copies.append(copy_gid)
-        self._buckets[edge] = copy_gid
+        self._buckets[key] = copy_gid
         self._repack(switch, origin.owner_tag)
         return copy_gid
 
@@ -504,9 +471,9 @@ class FlowInstaller:
         switch = edge[0]
         sw = self.fabric.switches[switch]
         for dead_gid in [gid, *sw.groups[gid].copies]:
-            for m in sw.groups.pop(dead_gid).members:
-                if m.set_tag is not None:  # the primary slot is a flow child, not a bucket
-                    del self._buckets[m.edge]
+            for key in sw.groups.pop(dead_gid).members:
+                if key != slot0_key:  # the primary slot is a flow child, not a bucket
+                    del self._buckets[key]
         del self._flows[(switch, tag)].children[edge]
         self._repack(switch, tag)
 
@@ -515,16 +482,16 @@ class FlowInstaller:
         sw = self.fabric.switches[switch]
         group = sw.groups[gid]
         del self._buckets[key]
-        group.members = [m for m in group.members if m.edge != key]
+        group.members.remove(key)
         if group.origin is not None and not group.members:
             # a copy with nothing left to send vanishes
             del sw.groups[gid]
             sw.groups[group.origin].copies.remove(gid)
         elif group.origin is None and len(group.members) == 1 and not group.copies:
             # only the primary slot remains: dissolve back to a plain output
-            slot0 = group.members[0]
+            tag, edge = group.members[0]
             del sw.groups[gid]
-            self._flows[(switch, slot0.edge[0])].children[slot0.edge[1]] = PLAIN
+            self._flows[(switch, tag)].children[edge] = PLAIN
         self._repack(switch, group.owner_tag)
 
     # table packing -------------------------------------------------
@@ -573,5 +540,4 @@ class FlowInstaller:
             actions = list(acts)
             if t < len(kinds) - 1:
                 actions.append(GotoTable(t + 1))
-            entry = FlowEntry(t, self.group_key, match_tag, 0, tuple(actions))
-            sw.tables[t].setdefault((self.group_key, match_tag), {})[0] = entry
+            sw.tables[t].setdefault((self.group_key, match_tag), {})[0] = tuple(actions)

@@ -109,7 +109,7 @@ def take_snapshot(gs: GroupState, index: int, event: str) -> MetricsSnapshot:
         flows_total=gs.fabric.total_flows(),
         groups_total=gs.fabric.total_groups(),
         join_calls=gs.join_calls,
-        flows_by_switch=tuple((n, sum(per)) for n, per in sorted(flows.items()) if sum(per)),
+        flows_by_switch=tuple((n, c) for n, c in sorted(flows.items()) if c),
         groups_by_switch=tuple((n, c) for n, c in sorted(groups.items()) if c),
     )
 

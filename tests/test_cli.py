@@ -167,6 +167,7 @@ class TestBadInput:
         (["recover", "--model", "switch", "--rate-hz", "nan"], "rate_hz must be finite"),
         (["recover", "--model", "restore", "--rtt-ms", "nan"], "rtt_ms must be finite"),
         (["recover", "--model", "ff", "--duration-ms=-inf"], "duration_ms must be finite"),
+        (["report", "--preset", "geant", "-F", "5", "--reps", "1"], "all 4094 tags in use"),
     ])
     def test_rejected(self, files, capsys, argv, message):
         topo, scn, tmp = files
@@ -209,6 +210,21 @@ class TestEntryPoint:
         loaded = ast.literal_eval(proc.stdout)
         assert "ffmcast" in loaded
         assert [m for m in loaded if m != "ffmcast" and m not in sys.stdlib_module_names] == []
+
+    def test_benchmark_tracer_hooks_resolve(self):
+        # perfbench/tracer.py wraps package entry points by name: renaming or
+        # deleting one must fail here, not only in a traced benchmark run
+        src = Path(ffmcast.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(src)!r}, {str(src.parent / 'perfbench')!r}]\n"
+            "from tracer import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "tracer.uninstall()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

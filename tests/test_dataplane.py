@@ -1,7 +1,6 @@
 import pytest
 
 from ffmcast.dataplane import (
-    FlowEntry,
     FlowInstaller,
     GotoTable,
     Output,
@@ -90,11 +89,11 @@ class TestChainGroups:
     def test_same_tag_forks_not_appends(self):
         fab, _, g, c1, c2 = build_golden()
         groups = fab.switches["S"].groups
-        assert [m.set_tag for m in groups[g].members] == [None, 1, 2, 3]
-        assert [m.set_tag for m in groups[c1].members] == [2, 4]
+        assert [tag for tag, _ in groups[g].members] == [0, 1, 2, 3]
+        assert [tag for tag, _ in groups[c1].members] == [2, 4]
         # the copies inherit exactly the buckets ahead of the forked slot
-        assert [p.peer for p in groups[c1].drop_watch] == ["p1", "p2"]
-        assert [p.peer for p in groups[c2].drop_watch] == ["p1", "p2"]
+        assert [peer for _, peer in groups[c1].drop_watch] == ["p1", "p2"]
+        assert [peer for _, peer in groups[c2].drop_watch] == ["p1", "p2"]
 
     def test_first_live_bucket_wins(self):
         fab, _, _, _, _ = build_golden()
@@ -131,7 +130,7 @@ class TestChainGroups:
         fab.forward("S", "g", None, {Link("S", "p1"), Link("S", "p2")}, seen)
         assert seen == {Link("S", p) for p in ("p1", "p2", "p7", "p8", "p9")}
         # a copy run alone reads its inherited (Drop) watch ports too
-        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (ToGroup(2),))}
+        fab.switches["S"].tables[0][("g", None)] = {0: (ToGroup(2),)}
         seen.clear()
         out, _ = fab.forward("S", "g", None, {Link("S", "p1")}, seen)
         assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
@@ -139,7 +138,7 @@ class TestChainGroups:
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
         sw = fab.switches["S"]
-        sw.tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (ToGroup(9),))}
+        sw.tables[0][("g", None)] = {0: (ToGroup(9),)}
         with pytest.raises(DataplaneError):
             fab.forward("S", "g", None, set())
 
@@ -152,9 +151,7 @@ class TestForwardQuirks:
         inst._ensure_chain((0, ("S", "p1")))
         sw = fab.switches["S"]
         # hand-build the forbidden mix: plain output plus a group action
-        sw.tables[0][("g", None)] = {
-            0: FlowEntry(0, "g", None, 0, (Output(PortId("S", "p2")), ToGroup(1)))
-        }
+        sw.tables[0][("g", None)] = {0: (Output(PortId("S", "p2")), ToGroup(1))}
         out, matched = fab.forward("S", "g", None, set())
         assert matched
         assert [(p.peer, t) for p, t in out] == [("p1", None)]
@@ -162,7 +159,7 @@ class TestForwardQuirks:
     def test_outputs_carry_the_tag_at_their_action(self):
         fab = SwitchFabric(star(3))
         acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")))
-        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        fab.switches["S"].tables[0][("g", None)] = {0: acts}
         out, matched = fab.forward("S", "g", None, set())
         assert matched
         assert [(p.peer, t) for p, t in out] == [("p1", None), ("p2", 5)]
@@ -173,7 +170,7 @@ class TestForwardQuirks:
         inst.compile_path(_Tree("S"), [("S", "p3")])
         inst._ensure_chain((0, ("S", "p3")))
         acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")), ToGroup(1))
-        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        fab.switches["S"].tables[0][("g", None)] = {0: acts}
         out, matched = fab.forward("S", "g", None, set())
         assert matched
         # the group runs with the tag current at its action
@@ -200,7 +197,7 @@ class TestForwardQuirks:
     def test_goto_must_advance(self):
         fab = SwitchFabric(star(2))
         sw = fab.switches["S"]
-        sw.tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, (GotoTable(0),))}
+        sw.tables[0][("g", None)] = {0: (GotoTable(0),)}
         with pytest.raises(DataplaneError):
             fab.forward("S", "g", None, set())
 
@@ -229,7 +226,7 @@ class TestCompile:
     def test_hosts_split_from_wires(self):
         fab = SwitchFabric(star(3))
         acts = (Output(PortId("S", "p1")), Output(PortId("S", "host")), SetTag(5), Output(PortId("S", "p2")))
-        fab.switches["S"].tables[0][("g", None)] = {0: FlowEntry(0, "g", None, 0, acts)}
+        fab.switches["S"].tables[0][("g", None)] = {0: acts}
         assert fab.compile("S", "g", None) == (
             True, (None,), ((Link("S", "p1"), "p1", None), (Link("S", "p2"), "p2", 5)), ())
 

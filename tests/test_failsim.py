@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from ffmcast.dataplane import FlowEntry, Output, PortId, SetTag, SwitchFabric, ToGroup
+from ffmcast.dataplane import Output, PortId, SetTag, SwitchFabric, ToGroup
 from ffmcast.errors import BudgetExceeded, DataplaneError
 from ffmcast.failsim import (
     FailureCase,
@@ -31,7 +31,7 @@ def replace_entry(gs, switch, tag, *actions):
     Like any edit made outside FlowInstaller, it clears the fabric's view.
     """
     key = (gs.installer.group_key, tag)
-    gs.fabric.switches[switch].tables[0][key] = {0: FlowEntry(0, key[0], tag, 0, actions)}
+    gs.fabric.switches[switch].tables[0][key] = {0: actions}
     gs.fabric.view.clear()
 
 
@@ -138,15 +138,13 @@ class TestSimulateDelivery:
         assert rep.outcomes == {}
 
     def test_loop_guard_trips_on_cycle(self):
-        from ffmcast.dataplane import FlowEntry, Output, PortId
-
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 0))
         protect_join(gs, "B")
         assert not simulate_delivery(gs).loop_guard_tripped  # fills the view
         # sabotage: make B bounce the packet back to A forever
         swb = gs.fabric.switches["B"]
         key = (gs.installer.group_key, None)
-        swb.tables[0][key] = {0: FlowEntry(0, key[0], None, 0, (Output(PortId("B", "A")),))}
+        swb.tables[0][key] = {0: (Output(PortId("B", "A")),)}
         gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
         rep = simulate_delivery(gs)
         assert rep.loop_guard_tripped

@@ -351,17 +351,36 @@ class TestConfig:
 
 
 def check_installer_index(gs):
-    """The installer's records name exactly the live trees' state."""
+    """The installer's records name exactly the live trees' state, and each
+    group member is the (tag, edge) key of the tree edge its bucket carries."""
     inst = gs.installer
     switches = gs.fabric.switches
     first_hops = {(t.tag, (t.root, c)) for t in gs.all_trees()[1:] for c in t.children.get(t.root, ())}
     assert set(inst._buckets) == first_hops
+    referenced = set()  # (switch, gid) of every group the installer reaches
     for key, gid in inst._buckets.items():
         group = switches[key[1][0]].groups.get(gid)
-        assert group is not None and any(m.edge == key for m in group.members), key
+        assert group is not None and key in group.members, key
+        referenced.add((key[1][0], gid))
     for (switch, _), lf in inst._flows.items():
         for mode in lf.children.values():
             assert mode == PLAIN or mode in switches[switch].groups, (switch, mode)
+            if mode != PLAIN:
+                referenced.add((switch, mode))
+                referenced.update((switch, c) for c in switches[switch].groups[mode].copies)
+    for switch, gid in referenced:
+        group = switches[switch].groups[gid]
+        backups = group.members
+        if group.origin is None:
+            # the primary slot: the owner's own tree edge, and only there
+            tag, edge = group.members[0]
+            assert tag == group.owner_tag, (switch, gid)
+            assert inst._flows[(switch, tag)].children[edge] == gid, (switch, gid)
+            backups = group.members[1:]
+        for key in backups:
+            assert key[0] != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)
+        edges = [edge for _, edge in group.members] + group.drop_watch
+        assert all(edge[0] == switch for edge in edges), (switch, gid)
 
 
 class TestInstallerIndex:
