@@ -7,10 +7,9 @@ dataplane state.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -19,8 +18,6 @@ from .errors import TopologyError
 
 # Reserved peer name for the implicit host port on every switch.
 HOST = "host"
-
-CostFn = Callable[[str, str], float]
 
 
 class _Endpoints(NamedTuple):
@@ -186,15 +183,26 @@ def shortest_path(
     net: Network,
     src: str,
     dst: str,
-    cost: CostFn | None = None,
+    prefer: Mapping[str, str] | None = None,
     avoid: Iterable[Link] = frozenset(),
 ) -> list[str] | None:
-    """Cheapest src-to-dst path that uses no link in avoid, or None if unreachable.
+    """Best src-to-dst path that uses no link in avoid, or None if unreachable.
 
-    cost(a, b) prices the hop from a to b (default 1) and must be positive.
-    Among equal-cost paths the lexicographically smallest node sequence wins,
-    which makes the result independent of iteration order; use exact (for
-    example integer) costs so that equal really means equal.
+    prefer maps a node to a neighbour (spt passes the tree's child -> parent
+    map); a link between a node and its prefer entry is preferred, in either
+    direction. Paths rank by fewest hops, then most preferred links, then the
+    lexicographically smallest node sequence. That is the order a Dijkstra
+    search with lexicographic tie-break gives under costs E for a preferred
+    link and E + 1 for any other, E = len(prefer): a simple path of h hops
+    and k <= E preferred links costs h(E + 1) - k. The tests keep that
+    search as this one's oracle.
+
+    A breadth-first pass back from dst labels each node with its hops to go;
+    a forward pass from src then visits only nodes on some shortest path,
+    layer by layer. Every node keeps the predecessor that gives it the most
+    preferred links, on a tie the one whose own path ranks first, so its
+    path is the best of its length; the next layer ranks by (rank of the
+    predecessor, name), which is the lexicographic order of those paths.
     """
     for node in (src, dst):
         if node not in net:
@@ -203,25 +211,46 @@ def shortest_path(
         return [src]
     adj = net._adj
     banned = _banned(avoid)
-    heap: list[tuple[float, tuple[str, ...]]] = [(0, (src,))]
-    done: set[str] = set()
-    while heap:
-        dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == dst:
-            return list(path)
-        skip = banned.get(node, ())
-        for nxt in adj[node]:
-            if nxt in done or nxt in skip:
-                continue
-            step = 1 if cost is None else cost(node, nxt)
-            if step <= 0:
-                raise ValueError(f"non-positive cost on {node}-{nxt}")
-            heapq.heappush(heap, (dist + step, path + (nxt,)))
-    return None
+    togo = {dst: 0}
+    frontier = [dst]
+    hops = 0
+    while src not in togo:
+        if not frontier:
+            return None
+        hops += 1
+        reached = []
+        for node in frontier:
+            skip = banned.get(node, ())
+            for nxt in adj[node]:
+                if nxt not in togo and nxt not in skip:
+                    togo[nxt] = hops
+                    reached.append(nxt)
+        frontier = reached
+    if prefer is None:
+        prefer = {}
+    gain = {src: 0}
+    pred: dict[str, str] = {}
+    layer = [src]
+    for left in range(hops - 1, -1, -1):
+        rank: dict[str, int] = {}
+        for r, node in enumerate(layer):
+            k = gain[node]
+            up = prefer.get(node)
+            skip = banned.get(node, ())
+            for nxt in adj[node]:
+                if togo.get(nxt) != left or nxt in skip:
+                    continue
+                g = k + 1 if up == nxt or prefer.get(nxt) == node else k
+                if nxt not in rank or g > gain[nxt]:
+                    rank[nxt] = r
+                    gain[nxt] = g
+                    pred[nxt] = node
+        layer = sorted(rank, key=lambda n: (rank[n], n))
+    path = [dst]
+    while path[-1] != src:
+        path.append(pred[path[-1]])
+    path.reverse()
+    return path
 
 
 def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -> dict[str, int]:

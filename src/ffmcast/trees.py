@@ -98,27 +98,21 @@ def spt_join(
 ) -> PathEdges | None:
     """Minimum-hop join biased to reuse tree links, skipping links in avoid.
 
-    Runs a shortest-path search from the tree root with exact integer costs:
-    E for a tree link and E + 1 for any other link, where E is the tree's
-    edge count. A path of h hops using k tree links costs h(E + 1) - k with
-    0 <= k <= E, so paths rank by fewest hops, then most reused tree links,
-    then the lexicographically smallest node sequence. Returns only the
-    suffix after the last node already in the tree, or None if v is already
-    in the tree or unreachable.
+    Searches from the tree root preferring tree links, so paths rank by
+    fewest hops, then most reused tree links, then the lexicographically
+    smallest node sequence. That is the ranking of a cheapest-path search
+    with exact integer costs E for a tree link and E + 1 for any other,
+    where E is the tree's edge count: a path of h hops using k tree links
+    costs h(E + 1) - k with 0 <= k <= E, so no reuse buys a hop. The tests
+    check this search against that one. Returns only the suffix after the
+    last node already in the tree, or None if v is already in the tree or
+    unreachable.
     """
     if v not in net:
         raise TopologyError(f"unknown node {v!r}")
     if v in tree.nodes:
         return None
-    tree_cost = tree.edge_count()
-    parent = tree.parent
-
-    def cost(a: str, b: str) -> int:
-        if parent.get(b) == a or parent.get(a) == b:
-            return tree_cost
-        return tree_cost + 1
-
-    nodes = shortest_path(net, tree.root, v, cost, avoid)
+    nodes = shortest_path(net, tree.root, v, tree.parent, avoid)
     if nodes is None:
         return None
     anchor = 0

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import json
 import pickle
 import random
@@ -15,6 +16,7 @@ from ffmcast.topology import (
     shortest_path,
     without_links,
 )
+from ffmcast.trees import MulticastTree, apply_path, spt_join
 
 
 def rand_connected(rng, n, extra=None):
@@ -24,6 +26,45 @@ def rand_connected(rng, n, extra=None):
         a, b = rng.sample(nodes, 2)
         links.append([a, b])
     return load_topology({"nodes": nodes, "links": links})
+
+
+def grid(side):
+    name = lambda r, c: f"g{r:02d}{c:02d}"
+    nodes = [name(r, c) for r in range(side) for c in range(side)]
+    links = [[name(r, c), name(r, c + 1)] for r in range(side) for c in range(side - 1)]
+    links += [[name(r, c), name(r + 1, c)] for r in range(side - 1) for c in range(side)]
+    return load_topology({"nodes": nodes, "links": links})
+
+
+def reference_path(net, src, dst, cost=None, avoid=frozenset()):
+    """Cheapest src-to-dst path by Dijkstra over whole path tuples.
+
+    cost(a, b) prices a hop (default 1) with an exact number, int or
+    Fraction; equal-cost paths tie-break to the lexicographically smallest
+    node sequence. Slow and plain: the oracle for shortest_path.
+    """
+    heap = [(0, (src,))]
+    done = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        done.add(node)
+        if node == dst:
+            return list(path)
+        for nxt in net.neighbors(node):
+            if nxt not in done and Link(node, nxt) not in avoid:
+                step = 1 if cost is None else cost(node, nxt)
+                heapq.heappush(heap, (dist + step, path + (nxt,)))
+    return None
+
+
+def tree_cost(tree):
+    """spt's exact integer pricing: E per tree link, E + 1 per other link."""
+    edges = tree.edge_count()
+    parent = tree.parent
+    return lambda a, b: edges if parent.get(b) == a or parent.get(a) == b else edges + 1
 
 
 class TestLink:
@@ -154,19 +195,22 @@ class TestShortestPath:
         net = complete_graph(3)
         assert shortest_path(net, "n1", "n1") == ["n1"]
 
-    def test_cost_function_respected(self):
+    def test_prefer_ranks_between_hops_and_names(self):
         net = load_topology({
-            "nodes": ["A", "B", "C"],
-            "links": [["A", "B"], ["B", "C"], ["A", "C"]],
+            "nodes": ["A", "B", "C", "D"],
+            "links": [["A", "B"], ["B", "D"], ["A", "C"], ["C", "D"]],
         })
-        # make the direct link expensive
-        cost = lambda a, b: 5.0 if Link(a, b) == Link("A", "C") else 1.0
-        assert shortest_path(net, "A", "C", cost) == ["A", "B", "C"]
-
-    def test_nonpositive_cost_rejected(self):
-        net = complete_graph(3)
-        with pytest.raises(ValueError):
-            shortest_path(net, "n0", "n1", lambda a, b: 0.0)
+        # equal hops: the preferred link beats the lexicographic order,
+        # in either direction of the prefer entry
+        assert shortest_path(net, "A", "D", {"C": "A"}) == ["A", "C", "D"]
+        assert shortest_path(net, "A", "D", {"C": "D"}) == ["A", "C", "D"]
+        # two preferred links beat one
+        assert shortest_path(net, "A", "D", {"B": "A", "C": "A", "D": "C"}) == ["A", "C", "D"]
+        # equal preferred links fall back to names
+        assert shortest_path(net, "A", "D", {"B": "A", "C": "A"}) == ["A", "B", "D"]
+        # preference never buys an extra hop
+        tri = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]})
+        assert shortest_path(tri, "A", "C", {"B": "A", "C": "B"}) == ["A", "C"]
 
     def test_hops_match_bfs_oracle(self):
         for seed in range(60):
@@ -186,6 +230,38 @@ class TestShortestPath:
         for a, b in zip(path, path[1:]):
             assert net.has_link(a, b)
 
+    def test_matches_dijkstra_oracle(self):
+        # unit costs without prefer, spt's E / E + 1 costs with prefer=parent,
+        # on trees grown by spt_join around random avoided links
+        nets = [("geant", geant()), ("grid5", grid(5)), ("grid12", grid(12))]
+        rng = random.Random(11)
+        for i in range(40):
+            n = rng.randint(3, 25)
+            nets.append((f"rand{i}", rand_connected(rng, n, rng.randint(0, n))))
+        unreachable = 0
+        for name, net in nets:
+            rounds = 1 if name == "grid12" else 3
+            for _ in range(rounds):
+                avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
+                tree = MulticastTree(root=rng.choice(net.nodes))
+                order = list(net.nodes)
+                rng.shuffle(order)
+                for v in [None] + order[: rng.randint(1, 8)]:
+                    if v is not None:
+                        got = spt_join(net, tree, v, avoid)
+                        if got:
+                            apply_path(tree, got)
+                    cost = tree_cost(tree)
+                    for src in (tree.root, rng.choice(net.nodes)):
+                        for dst in net.nodes:
+                            want = reference_path(net, src, dst, avoid=avoid)
+                            assert shortest_path(net, src, dst, avoid=avoid) == want, (name, src, dst)
+                            unreachable += want is None
+                            want = reference_path(net, src, dst, cost, avoid)
+                            got = shortest_path(net, src, dst, tree.parent, avoid)
+                            assert got == want, (name, src, dst, tree.parent)
+        assert unreachable > 0
+
 
 class TestAvoid:
     """Searching around an avoid set matches searching the rebuilt subgraph."""
@@ -200,11 +276,10 @@ class TestAvoid:
     def test_shortest_path_matches_subgraph(self):
         for rng, net, avoid, sub in self.cases():
             src = rng.choice(net.nodes)
-            weight = {l: rng.randint(1, 3) for l in net.links}
-            cost = lambda a, b: weight[Link(a, b)]
+            prefer = {v: rng.choice(net.neighbors(v)) for v in net.nodes if rng.random() < 0.5}
             for dst in net.nodes:
                 assert shortest_path(net, src, dst, avoid=avoid) == shortest_path(sub, src, dst)
-                assert shortest_path(net, src, dst, cost, avoid) == shortest_path(sub, src, dst, cost)
+                assert shortest_path(net, src, dst, prefer, avoid) == shortest_path(sub, src, dst, prefer)
 
     def test_bfs_matches_subgraph(self):
         for rng, net, avoid, sub in self.cases():

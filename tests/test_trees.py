@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from ffmcast import trees
 from ffmcast.errors import InvalidPathError
 from ffmcast.topology import (
     Link,
     bfs_distances,
     complete_graph,
     load_topology,
-    shortest_path,
     without_links,
 )
 from ffmcast.trees import MulticastTree, apply_path, dst_join, join, spt_join
-from tests.test_topology import rand_connected
+from tests.test_topology import rand_connected, reference_path
 
 
 def square():
@@ -107,7 +107,7 @@ class TestSptJoin:
         def reference(net, t, v):
             eps = Fraction(1, t.edge_count() + 1)
             links = t.tree_links()
-            nodes = shortest_path(net, t.root, v, lambda a, b: 1 - eps if Link(a, b) in links else 1)
+            nodes = reference_path(net, t.root, v, lambda a, b: 1 - eps if Link(a, b) in links else 1)
             if nodes is None:
                 return None
             anchor = max(i for i, node in enumerate(nodes) if node in t.nodes)
@@ -188,6 +188,46 @@ class TestDstJoin:
                 assert got == dst_join(sub, t, v)
                 if got:
                     apply_path(t, got)
+
+
+class TestSearchCount:
+    """A join makes one path search, looked up as ffmcast.trees.shortest_path.
+
+    The benchmark tracer counts searches by wrapping that name, so a join
+    that searched through a private helper would read as zero searches.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("shortest_path", "bfs_distances"):
+            real = getattr(trees, name)
+            counted = lambda *a, name=name, real=real, **kw: seen.append(name) or real(*a, **kw)
+            monkeypatch.setattr(trees, name, counted)
+        return seen
+
+    def test_spt_searches_once(self, calls):
+        t = MulticastTree(root="A")
+        apply_path(t, [("A", "B")])
+        assert join(square(), t, "C", "spt") == [("B", "C")]
+        assert calls == ["shortest_path"]
+        calls.clear()
+        assert join(square(), t, "C", "spt", {Link("B", "C"), Link("C", "D")}) is None
+        assert calls == ["shortest_path"]
+
+    def test_dst_searches_once_after_bfs(self, calls):
+        t = MulticastTree(root="A")
+        apply_path(t, [("A", "B")])
+        assert join(square(), t, "C", "dst") == [("A", "B"), ("B", "C")]
+        assert calls == ["bfs_distances", "shortest_path"]
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_member_join_searches_nothing(self, calls, strategy):
+        t = MulticastTree(root="A")
+        apply_path(t, [("A", "B")])
+        assert join(square(), t, "B", strategy) is None
+        assert join(square(), t, "A", strategy) is None
+        assert calls == []
 
 
 class TestDispatch:
