@@ -9,7 +9,7 @@ from .errors import (
 )
 from .topology import Link, Network, bfs_distances, complete_graph, geant, load_topology, shortest_path
 from .trees import MulticastTree, apply_path, dst_join, join, spt_join
-from .dataplane import MAX_TAG, FlowInstaller, PortId, SwitchFabric
+from .dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from .protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from .failsim import (
     DeliveryReport,
@@ -46,7 +46,6 @@ __all__ = [
     "MAX_TAG",
     "MulticastTree",
     "Network",
-    "PortId",
     "ProtectionConfig",
     "RecoveryModel",
     "Scenario",

@@ -1,22 +1,25 @@
-"""Emulated OpenFlow-style dataplane: flow tables, fast-failover groups, tags.
+"""Emulated OpenFlow-style dataplane: flows, fast-failover groups, tags.
 
-Switch state is kept as the keys the installer works with. Each switch has
-up to 3 flow tables; tables[t][(group_key, tag)] maps priority to an action
-tuple, where tag None matches untagged packets. Action lists are kept
-homogeneous at compile time (group actions, plain outputs, and host
-deliveries live in separate tables chained by goto) because a mixed list
-would only execute its group actions; SwitchFabric.compile still implements
-that quirk faithfully.
+Switch state is kept as the records the installer works with. Each switch
+holds flows[(group_key, tag)], a Flow naming how each tree edge out of the
+switch is carried (PLAIN or a group id) and whether the switch delivers to
+its own host; tag None matches untagged packets. Its base set names the
+groups whose source sits here, each with a priority -1 drop so unsubscribed
+traffic dies quietly, and groups maps a group id to its ChainGroup. No
+OpenFlow table is kept: dump() renders each Flow as up to three entries in
+table 0, 1 and 2 (group actions, then plain outputs, then the host
+delivery, chained by goto), and flow_count() counts what it renders.
 
-SwitchFabric.compile is the one reader of the tables and groups for
-forwarding. It flattens what a packet of one group does at one (switch, tag)
-into a record of plain tuples: whether it matched, its host deliveries, its
-static wires, and its fast-failover groups as watch links in failover order.
-Walks read records from the fabric's `view`, keyed by (group_key, switch,
-tag) and filled on first use; it persists across walks and sweeps. The
-installer drops exactly the key of each (switch, tag) it changes, so the view
-never goes stale. Code that edits tables or groups by hand must clear the
-view (or pop the keys it touched) afterwards.
+SwitchFabric.compile is the one reader of that state for forwarding. It
+flattens what a packet of one group does at one (switch, tag) into a record
+of plain tuples: whether it matched, its host deliveries, its static wires,
+and its fast-failover groups as watch links in failover order. Walks read
+records from the fabric's `view`, keyed by (group_key, switch, tag) and
+filled on first use; it persists across walks and sweeps. The installer
+drops exactly the key of each (switch, tag) it changes, so the view never
+goes stale. Code that edits flows or groups by hand must clear the view (or
+pop the keys it touched) afterwards; a test may instead write a record into
+the view directly, which is what walks read.
 
 A fast-failover group is an ordered bucket list where the first bucket with a
 live watch port wins. Each bucket is named by the tree edge it carries,
@@ -26,7 +29,7 @@ Backup trees rooted at a switch add buckets to the group protecting the
 link they cover; when one backup tree needs several egress ports at the
 same switch, the extra ports get copies of the group whose inherited
 buckets are rewritten to Drop so each copy emits at most one packet, and
-the owning flow entry points at the copies as well.
+the owning flow points at the copies as well.
 """
 
 from __future__ import annotations
@@ -41,74 +44,6 @@ MAX_TAG = 4094
 PLAIN = "plain"
 
 
-@dataclass(frozen=True, order=True)
-class PortId:
-    """Egress port of a switch, identified by what it faces."""
-
-    switch: str
-    peer: str  # neighbor switch id, or HOST for the local host port
-
-    @property
-    def is_host(self) -> bool:
-        return self.peer == HOST
-
-    @property
-    def link(self) -> Link:
-        """The link behind the port (for a host port, one no topology has)."""
-        return Link(self.switch, self.peer)
-
-
-@dataclass(frozen=True)
-class Output:
-    port: PortId
-
-
-@dataclass(frozen=True)
-class SetTag:
-    tag: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.tag <= MAX_TAG:
-            raise DataplaneError(f"tag {self.tag} outside 1..{MAX_TAG}")
-
-
-@dataclass(frozen=True)
-class PopTag:
-    pass
-
-
-@dataclass(frozen=True)
-class ToGroup:
-    group: int
-
-
-@dataclass(frozen=True)
-class GotoTable:
-    table: int
-
-
-@dataclass(frozen=True)
-class DropAction:
-    pass
-
-
-Action = Output | SetTag | PopTag | ToGroup | GotoTable | DropAction
-
-
-def render_action(action: Action) -> str:
-    if isinstance(action, Output):
-        return f"output:{action.port.peer}"
-    if isinstance(action, SetTag):
-        return f"tag={action.tag}"
-    if isinstance(action, PopTag):
-        return "pop"
-    if isinstance(action, ToGroup):
-        return f"group:{action.group}"
-    if isinstance(action, GotoTable):
-        return f"goto:{action.table}"
-    return "Drop"
-
-
 @dataclass
 class ChainGroup:
     """Fast-failover group holding one failover cascade.
@@ -117,24 +52,36 @@ class ChainGroup:
     (tree tag, directed edge) it carries: the bucket watches and outputs to
     edge[1] and stamps the tag. The primary slot, members[0] of an original,
     carries owner_tag and keeps the packet's tag instead; a backup tree has
-    no flow entry at its own root, so no backup bucket carries owner_tag.
+    no flow at its own root, so no backup bucket carries owner_tag.
     drop_watch holds the edges of a copy's inherited prefix (same watch
     ports, Drop actions).
     """
 
     gid: int
-    owner_tag: int  # tree tag of the flow entry on this switch that references it
+    owner_tag: int  # tree tag of the flow on this switch that references it
     drop_watch: list[tuple[str, str]] = field(default_factory=list)
     members: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
     copies: list[int] = field(default_factory=list)  # only on originals
     origin: int | None = None  # original gid when this is a copy
 
 
+@dataclass
+class Flow:
+    """How one (switch, tree tag) forwards a group's packets."""
+
+    children: dict[tuple[str, str], int | str] = field(default_factory=dict)  # edge -> PLAIN or gid
+    terminal: bool = False
+
+    def table_count(self) -> int:
+        """Flow entries dump() renders: one per kind of action it uses."""
+        modes = self.children.values()
+        return any(m != PLAIN for m in modes) + (PLAIN in modes) + self.terminal
+
+
 class SwitchState:
-    def __init__(self, node: str):
-        self.node = node
-        # table index -> (group_key, tag) -> priority -> actions
-        self.tables: list[dict[tuple[str, int | None], dict[int, tuple[Action, ...]]]] = [{}, {}, {}]
+    def __init__(self):
+        self.flows: dict[tuple[str, int | None], Flow] = {}
+        self.base: set[str] = set()  # group keys with the priority -1 drop
         self.groups: dict[int, ChainGroup] = {}
         self._next_gid = 1
 
@@ -144,7 +91,7 @@ class SwitchState:
         return gid
 
     def flow_count(self) -> int:
-        return sum(len(prios) for tbl in self.tables for prios in tbl.values())
+        return len(self.base) + sum(flow.table_count() for flow in self.flows.values())
 
 
 # (link, peer switch, outgoing tag) of a static wire or a failover member; a
@@ -157,7 +104,7 @@ Record = tuple[bool, tuple[int | None, ...], tuple[Wire, ...], tuple[FFGroup, ..
 
 
 class SwitchFabric:
-    """All switches of one network.
+    """All switches of one network: each one's flows, base drops and groups.
 
     It keeps no link state: a failure set is the caller's input to forward()
     and to walks, so one fabric can be walked under many failure sets without
@@ -166,64 +113,38 @@ class SwitchFabric:
 
     def __init__(self, net: Network):
         self.net = net
-        self.switches = {n: SwitchState(n) for n in net.nodes}
+        self.switches = {n: SwitchState() for n in net.nodes}
         self.view: dict[tuple[str, str, int | None], Record] = {}
 
     def compile(self, switch: str, group_key: str, tag: int | None) -> Record:
         """What a packet of the group with this tag does at the switch, for any
         down set: (matched, host delivery tags, static wires, groups).
 
-        An entry's actions run in one pass: each output is set aside with the
-        tag current at that action and kept only if no group action ran, so a
-        list that mixes group and output actions keeps only its groups. A
-        group's members carry the tag current at its action unless they set
-        their own.
+        Wires and groups follow the flow's edges in sorted order, each group
+        followed by its copies; both carry the packet's tag, and a host
+        delivery pops it. Without a flow, an untagged packet at a switch with
+        the group's base drop matches and goes nowhere.
         """
         sw = self.switches[switch]
-        hosts: list[int | None] = []
+        flow = sw.flows.get((group_key, tag))
+        if flow is None:
+            return tag is None and group_key in sw.base, (), (), ()
         wires: list[Wire] = []
         groups: list[FFGroup] = []
-        table = 0
-        cur = tag
-        matched = False
-        while True:
-            prios = sw.tables[table].get((group_key, cur))
-            if not prios:
-                break
-            matched = True
-            outputs = []
-            grouped = False
-            goto = None
-            for a in prios[max(prios)]:
-                if isinstance(a, Output):
-                    outputs.append((a.port, cur))
-                elif isinstance(a, ToGroup):
-                    grouped = True
-                    groups.append(self._compile_group(sw, a.group, cur))
-                elif isinstance(a, SetTag):
-                    cur = a.tag
-                elif isinstance(a, PopTag):
-                    cur = None
-                elif isinstance(a, GotoTable):
-                    goto = a.table
-            if not grouped:
-                for port, out_tag in outputs:
-                    if port.is_host:
-                        hosts.append(out_tag)
-                    else:
-                        wires.append((port.link, port.peer, out_tag))
-            if goto is None:
-                break
-            if goto <= table:
-                raise DataplaneError(f"goto must increase the table index ({table} -> {goto})")
-            table = goto
-        return matched, tuple(hosts), tuple(wires), tuple(groups)
+        for edge in sorted(flow.children):
+            gid = flow.children[edge]
+            if gid == PLAIN:
+                wires.append((Link(*edge), edge[1], tag))
+                continue
+            group = sw.groups.get(gid)
+            if group is None:
+                raise DataplaneError(f"flow references unknown group {gid} on {switch}")
+            groups.append(self._compile_group(group, tag))
+            groups.extend(self._compile_group(sw.groups[c], tag) for c in group.copies)
+        return True, (None,) if flow.terminal else (), tuple(wires), tuple(groups)
 
     @staticmethod
-    def _compile_group(sw: SwitchState, gid: int, tag: int | None) -> FFGroup:
-        group = sw.groups.get(gid)
-        if group is None:
-            raise DataplaneError(f"flow references unknown group {gid} on {sw.node}")
+    def _compile_group(group: ChainGroup, tag: int | None) -> FFGroup:
         drops = tuple([Link(*edge) for edge in group.drop_watch])
         members = tuple([
             (Link(*edge), edge[1], tag if m_tag == group.owner_tag else m_tag)
@@ -238,19 +159,20 @@ class SwitchFabric:
         tag: int | None,
         down: Set[Link],
         consulted: set[Link] | None = None,
-    ) -> tuple[list[tuple[PortId, int | None]], bool]:
+    ) -> tuple[list[tuple[str, int | None]], bool]:
         """Run one packet through a switch with the given links down; returns
         (emissions, matched).
 
-        Each emission is (egress port, outgoing tag): the live member of each
-        group (an inherited Drop bucket that is live consumes the packet),
-        then the static wires, then the host deliveries. When `consulted` is
-        a set, the link of every watch port a group checked is added to it:
-        the result is the same for any down set that agrees with `down` on
-        those links. Reads a fresh compile(), never the view.
+        Each emission is (peer, outgoing tag), with peer HOST for a host
+        delivery: the live member of each group (an inherited Drop bucket
+        that is live consumes the packet), then the static wires, then the
+        host deliveries. When `consulted` is a set, the link of every watch
+        port a group checked is added to it: the result is the same for any
+        down set that agrees with `down` on those links. Reads a fresh
+        compile(), never the view.
         """
         matched, hosts, wires, groups = self.compile(switch, group_key, tag)
-        emissions: list[tuple[PortId, int | None]] = []
+        emissions: list[tuple[str, int | None]] = []
         for drops, members in groups:
             # first live bucket wins; a live inherited Drop bucket consumes the packet
             for link in drops:
@@ -263,10 +185,10 @@ class SwitchFabric:
                     if consulted is not None:
                         consulted.add(link)
                     if link not in down:
-                        emissions.append((PortId(switch, peer), out_tag))
+                        emissions.append((peer, out_tag))
                         break
-        emissions.extend((PortId(switch, peer), out_tag) for _, peer, out_tag in wires)
-        emissions.extend((PortId(switch, HOST), out_tag) for out_tag in hosts)
+        emissions.extend((peer, out_tag) for _, peer, out_tag in wires)
+        emissions.extend((HOST, out_tag) for out_tag in hosts)
         return emissions, matched
 
     # metrics -------------------------------------------------------
@@ -285,24 +207,39 @@ class SwitchFabric:
 
     # dump ----------------------------------------------------------
 
-    def dump(self, group_key: str | None = None) -> str:
-        """Stable text rendering of all flow and group state."""
+    def dump(self) -> str:
+        """Stable text rendering of all flow and group state, in OpenFlow table form.
+
+        Each flow becomes up to three entries at priority 0, one kind of
+        action per table and chained by goto: its groups (each followed by
+        its copies), its plain outputs, then its host delivery (popping the
+        tag first when there is one). A base drop is a table-0 entry at
+        priority -1.
+        """
         lines: list[str] = []
         for node in self.net.nodes:
             sw = self.switches[node]
-            entries = []
-            for t in range(3):
-                for (gk, tag), prios in sw.tables[t].items():
-                    if group_key is not None and gk != group_key:
-                        continue
-                    for prio, actions in prios.items():
-                        entries.append((t, gk, tag is not None, tag or 0, prio, actions))
+            entries = [(0, gk, False, 0, -1, "Drop") for gk in sw.base]
+            for (gk, tag), flow in sw.flows.items():
+                groups = []
+                outputs = []
+                for edge in sorted(flow.children):
+                    gid = flow.children[edge]
+                    if gid == PLAIN:
+                        outputs.append(f"output:{edge[1]}")
+                    else:
+                        groups.append(f"group:{gid}")
+                        groups.extend(f"group:{c}" for c in sw.groups[gid].copies)
+                host = ["output:host"] if tag is None else ["pop", "output:host"]
+                kinds = [k for k in (groups, outputs, host if flow.terminal else []) if k]
+                for t, acts in enumerate(kinds):
+                    goto = [f"goto:{t + 1}"] if t < len(kinds) - 1 else []
+                    entries.append((t, gk, tag is not None, tag or 0, 0, ",".join(acts + goto)))
             if not entries and not sw.groups:
                 continue
             lines.append(f"switch {node}")
-            for t, gk, tagged, tag, prio, actions in sorted(entries, key=lambda e: e[:5]):
+            for t, gk, tagged, tag, prio, acts in sorted(entries):
                 tag_s = str(tag) if tagged else "untagged"
-                acts = ",".join(render_action(a) for a in actions)
                 lines.append(f"  flow table={t} match=({gk},{tag_s}) prio={prio} actions={acts}")
             for gid in sorted(sw.groups):
                 group = sw.groups[gid]
@@ -314,55 +251,52 @@ class SwitchFabric:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
-class _LogicalFlow:
-    """Controller-side view of one (switch, tree) forwarding state."""
-
-    children: dict[tuple[str, str], int | str] = field(default_factory=dict)  # edge -> PLAIN or gid
-    terminal: bool = False
-
-
 class FlowInstaller:
     """Compiles tree paths for one multicast group into switch state.
 
-    Its records make installation idempotent and removal an exact inverse:
-    each flow's children say how its tree edges are carried (PLAIN or a gid),
-    and _buckets names the group holding each backup tree's first hop. Every
-    edit of a (switch, tag) drops that key from the fabric's view.
+    It edits the switches' flows, base drops and groups in place, which makes
+    installation idempotent and removal an exact inverse: each flow's
+    children say how its tree edges are carried (PLAIN or a gid), and
+    _buckets names the group holding each backup tree's first hop. Tree tag
+    0 (the primary) is flow tag None. Every edit of a (switch, tag) drops
+    that key from the fabric's view.
     """
 
     def __init__(self, fabric: SwitchFabric, group_key: str):
         self.fabric = fabric
         self.group_key = group_key
-        self._flows: dict[tuple[str, int], _LogicalFlow] = {}
         # (backup tree tag, first-hop edge) -> gid of the group holding its bucket
         self._buckets: dict[tuple[int, tuple[str, str]], int] = {}
         self._base_root: str | None = None
+
+    def _key(self, tag: int) -> tuple[str, int | None]:
+        """The flows key of one tree tag."""
+        return self.group_key, None if tag == 0 else tag
+
+    def _edited(self, switch: str, tag: int) -> None:
+        """After an edit of one (switch, tree tag): forget its compiled record,
+        and its flow once it forwards nothing."""
+        key = self._key(tag)
+        flows = self.fabric.switches[switch].flows
+        flow = flows.get(key)
+        if flow is not None and not flow.children and not flow.terminal:
+            del flows[key]
+        self.fabric.view.pop((self.group_key, switch, key[1]), None)
 
     # group base ----------------------------------------------------
 
     def ensure_base(self, root: str) -> None:
         """Low-priority drop at the sourcing switch so unsubscribed traffic dies quietly."""
-        sw = self.fabric.switches[root]
-        sw.tables[0].setdefault((self.group_key, None), {})[-1] = (DropAction(),)
-        self._drop_view(root, 0)
+        self.fabric.switches[root].base.add(self.group_key)
+        self._edited(root, 0)
         self._base_root = root
 
     def remove_base(self) -> None:
         if self._base_root is None:
             return
-        sw = self.fabric.switches[self._base_root]
-        prios = sw.tables[0].get((self.group_key, None))
-        if prios:
-            prios.pop(-1, None)
-            if not prios:
-                del sw.tables[0][(self.group_key, None)]
-        self._drop_view(self._base_root, 0)
+        self.fabric.switches[self._base_root].base.discard(self.group_key)
+        self._edited(self._base_root, 0)
         self._base_root = None
-
-    def _drop_view(self, switch: str, tag: int) -> None:
-        """Forget the compiled record of one (switch, tree tag) after an edit."""
-        self.fabric.view.pop((self.group_key, switch, None if tag == 0 else tag), None)
 
     # install -------------------------------------------------------
 
@@ -371,28 +305,30 @@ class FlowInstaller:
 
         The first hop out of a backup tree's root becomes a failover bucket
         in the group covering the protected link; every other edge is a
-        forwarding action of the (switch, tag) flow entry.
+        child of the (switch, tag) flow.
         """
+        key = self._key(tree.tag)
+        switches = self.fabric.switches
         for a, b in path:
             if tree.tag != 0 and a == tree.root:
                 if (tree.tag, (a, b)) in self._buckets:
                     continue
                 if tree.protects is None:
                     raise DataplaneError(f"backup tree {tree.tag} has no protected edge")
-                self.add_backup_bucket(a, self._ensure_chain(tree.protects), PortId(a, b), tree.tag)
+                self.add_backup_bucket(a, self._ensure_chain(tree.protects), b, tree.tag)
             else:
-                lf = self._flows.get((a, tree.tag))
-                if lf is None:
-                    lf = self._flows[(a, tree.tag)] = _LogicalFlow()
-                elif (a, b) in lf.children:
+                flow = switches[a].flows.get(key)
+                if flow is None:
+                    flow = switches[a].flows[key] = Flow()
+                elif (a, b) in flow.children:
                     continue
-                lf.children[(a, b)] = PLAIN
-                self._repack(a, tree.tag)
+                flow.children[(a, b)] = PLAIN
+                self._edited(a, tree.tag)
         if terminal is not None:
-            lf = self._flows.setdefault((terminal, tree.tag), _LogicalFlow())
-            if not lf.terminal:
-                lf.terminal = True
-                self._repack(terminal, tree.tag)
+            flow = switches[terminal].flows.setdefault(key, Flow())
+            if not flow.terminal:
+                flow.terminal = True
+                self._edited(terminal, tree.tag)
 
     def _ensure_chain(self, parent_key: tuple[int, tuple[str, str]]) -> int:
         """Group id of the failover chain that carries the given tree edge."""
@@ -400,37 +336,37 @@ class FlowInstaller:
             return self._buckets[parent_key]
         tag, edge = parent_key
         switch = edge[0]
-        lf = self._flows.get((switch, tag))
-        if lf is None or edge not in lf.children:
-            raise DataplaneError(f"edge {parent_key} is not installed")
-        if lf.children[edge] != PLAIN:
-            return int(lf.children[edge])
-        # promote a plain output to a fast-failover group
         sw = self.fabric.switches[switch]
+        flow = sw.flows.get(self._key(tag))
+        if flow is None or edge not in flow.children:
+            raise DataplaneError(f"edge {parent_key} is not installed")
+        if flow.children[edge] != PLAIN:
+            return int(flow.children[edge])
+        # promote a plain output to a fast-failover group
         gid = sw.alloc_gid()
         sw.groups[gid] = ChainGroup(gid, tag, members=[parent_key])
-        lf.children[edge] = gid
-        self._repack(switch, tag)
+        flow.children[edge] = gid
+        self._edited(switch, tag)
         return gid
 
-    def add_backup_bucket(self, switch: str, gid: int, backup_port: PortId, backup_tag: int) -> int:
-        """Add a failover bucket for a backup tree's first hop.
+    def add_backup_bucket(self, switch: str, gid: int, peer: str, backup_tag: int) -> int:
+        """Add a failover bucket for a backup tree's first hop, to peer.
 
         Appends to the given group unless it already serves another first hop
         of the same backup tree; in that case a copy is made whose inherited
-        buckets all Drop (same watch ports) and the owning flow entry is
-        pointed at the copy too. Returns the group id that got the bucket.
+        buckets all Drop (same watch ports) and the owning flow is pointed
+        at the copy too. Returns the group id that got the bucket.
         """
         sw = self.fabric.switches[switch]
         group = sw.groups.get(gid)
         if group is None:
             raise DataplaneError(f"unknown group {gid} on {switch}")
-        key = (backup_tag, (switch, backup_port.peer))
+        key = (backup_tag, (switch, peer))
         first = next((i for i, (tag, _) in enumerate(group.members) if tag == backup_tag), None)
         if first is None:
             group.members.append(key)
             self._buckets[key] = gid
-            self._drop_view(switch, group.owner_tag)
+            self._edited(switch, group.owner_tag)
             return gid
         # another egress for the same backup tree: copy the group
         origin_gid = group.origin if group.origin is not None else gid
@@ -440,17 +376,17 @@ class FlowInstaller:
         sw.groups[copy_gid] = ChainGroup(copy_gid, origin.owner_tag, prefix, [key], origin=origin_gid)
         origin.copies.append(copy_gid)
         self._buckets[key] = copy_gid
-        self._repack(switch, origin.owner_tag)
+        self._edited(switch, origin.owner_tag)
         return copy_gid
 
     # removal -------------------------------------------------------
 
     def remove_terminal(self, tree, v: str) -> None:
-        lf = self._flows.get((v, tree.tag))
-        if lf is None or not lf.terminal:
+        flow = self.fabric.switches[v].flows.get(self._key(tree.tag))
+        if flow is None or not flow.terminal:
             return
-        lf.terminal = False
-        self._repack(v, tree.tag)
+        flow.terminal = False
+        self._edited(v, tree.tag)
 
     def remove_edge(self, tree, edge: tuple[str, str]) -> None:
         """Undo compile_path for one directed tree edge (no-op if gone already)."""
@@ -458,11 +394,11 @@ class FlowInstaller:
         if key in self._buckets:
             self._remove_member(self._buckets[key], key)
             return
-        lf = self._flows.get((edge[0], tree.tag))
-        mode = None if lf is None else lf.children.get(edge)
+        flow = self.fabric.switches[edge[0]].flows.get(self._key(tree.tag))
+        mode = None if flow is None else flow.children.get(edge)
         if mode == PLAIN:
-            del lf.children[edge]
-            self._repack(edge[0], tree.tag)
+            del flow.children[edge]
+            self._edited(edge[0], tree.tag)
         elif mode is not None:
             self._delete_family(int(mode), key)
 
@@ -474,8 +410,8 @@ class FlowInstaller:
             for key in sw.groups.pop(dead_gid).members:
                 if key != slot0_key:  # the primary slot is a flow child, not a bucket
                     del self._buckets[key]
-        del self._flows[(switch, tag)].children[edge]
-        self._repack(switch, tag)
+        del sw.flows[self._key(tag)].children[edge]
+        self._edited(switch, tag)
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
         switch = key[1][0]
@@ -484,60 +420,13 @@ class FlowInstaller:
         del self._buckets[key]
         group.members.remove(key)
         if group.origin is not None and not group.members:
-            # a copy with nothing left to send vanishes
+            # a copy with nothing left to send vanishes; its original may follow
             del sw.groups[gid]
-            sw.groups[group.origin].copies.remove(gid)
-        elif group.origin is None and len(group.members) == 1 and not group.copies:
+            group = sw.groups[group.origin]
+            group.copies.remove(gid)
+        if group.origin is None and len(group.members) == 1 and not group.copies:
             # only the primary slot remains: dissolve back to a plain output
             tag, edge = group.members[0]
-            del sw.groups[gid]
-            self._flows[(switch, tag)].children[edge] = PLAIN
-        self._repack(switch, group.owner_tag)
-
-    # table packing -------------------------------------------------
-
-    def _repack(self, switch: str, tag: int) -> None:
-        """Rebuild the (up to 3) flow entries of one (switch, tree) pair.
-
-        Action kinds are segregated: group actions first, then plain
-        outputs, then the host delivery (tag pop for backup trees), each
-        kind in its own table linked by goto.
-        """
-        sw = self.fabric.switches[switch]
-        match_tag = None if tag == 0 else tag
-        self._drop_view(switch, tag)
-        for t in range(3):
-            prios = sw.tables[t].get((self.group_key, match_tag))
-            if prios:
-                prios.pop(0, None)
-                if not prios:
-                    del sw.tables[t][(self.group_key, match_tag)]
-        lf = self._flows.get((switch, tag))
-        if lf is None:
-            return
-        group_acts: list[Action] = []
-        out_acts: list[Action] = []
-        for edge in sorted(lf.children):
-            mode = lf.children[edge]
-            if mode == PLAIN:
-                out_acts.append(Output(PortId(edge[0], edge[1])))
-            else:
-                gid = int(mode)
-                group_acts.append(ToGroup(gid))
-                for copy_gid in sw.groups[gid].copies:
-                    group_acts.append(ToGroup(copy_gid))
-        host_acts: list[Action] = []
-        if lf.terminal:
-            if tag != 0:
-                host_acts.append(PopTag())
-            host_acts.append(Output(PortId(switch, HOST)))
-        kinds = [k for k in (group_acts, out_acts, host_acts) if k]
-        if not kinds:
-            if not lf.children and not lf.terminal:
-                self._flows.pop((switch, tag), None)
-            return
-        for t, acts in enumerate(kinds):
-            actions = list(acts)
-            if t < len(kinds) - 1:
-                actions.append(GotoTable(t + 1))
-            sw.tables[t].setdefault((self.group_key, match_tag), {})[0] = tuple(actions)
+            del sw.groups[group.gid]
+            sw.flows[self._key(tag)].children[edge] = PLAIN
+        self._edited(switch, group.owner_tag)

@@ -1,14 +1,6 @@
 import pytest
 
-from ffmcast.dataplane import (
-    FlowInstaller,
-    GotoTable,
-    Output,
-    PortId,
-    SetTag,
-    SwitchFabric,
-    ToGroup,
-)
+from ffmcast.dataplane import PLAIN, Flow, FlowInstaller, SwitchFabric
 from ffmcast.errors import DataplaneError
 from ffmcast.topology import HOST, Link, load_topology
 
@@ -52,7 +44,7 @@ def build_golden():
     inst = FlowInstaller(fab, "g")
     inst.compile_path(_Tree("S"), [("S", "p1")])
     g = inst._ensure_chain((0, ("S", "p1")))
-    add = lambda gid, port, tag: inst.add_backup_bucket("S", gid, PortId("S", port), tag)
+    add = lambda gid, port, tag: inst.add_backup_bucket("S", gid, port, tag)
     add(g, "p2", 1)
     add(g, "p7", 2)
     c1 = add(g, "p8", 2)
@@ -64,10 +56,10 @@ def build_golden():
 
 
 def fill_view(fab, group_key):
-    """Cache the record of the untagged key and of every tag a table matches,
+    """Cache the record of the untagged key and of every tag a flow matches,
     at every switch, as walks reaching them would."""
     for switch, sw in fab.switches.items():
-        tags = {None} | {tag for table in sw.tables for gk, tag in table if gk == group_key}
+        tags = {None} | {tag for gk, tag in sw.flows if gk == group_key}
         for tag in tags:
             key = (group_key, switch, tag)
             if key not in fab.view:
@@ -99,17 +91,17 @@ class TestChainGroups:
         fab, _, _, _, _ = build_golden()
         down = lambda *ps: {Link("S", p) for p in ps}
         out, _ = fab.forward("S", "g", None, down("p1"))
-        assert sorted((p.peer, t) for p, t in out) == [("p2", 1)]
+        assert sorted(out) == [("p2", 1)]
         out, _ = fab.forward("S", "g", None, down("p1", "p2"))
-        assert sorted((p.peer, t) for p, t in out) == [("p7", 2), ("p8", 2), ("p9", 2)]
+        assert sorted(out) == [("p7", 2), ("p8", 2), ("p9", 2)]
         out, _ = fab.forward("S", "g", None, down("p1", "p2", "p7", "p8", "p9"))
-        assert sorted((p.peer, t) for p, t in out) == [("p10", 3), ("p11", 4), ("p12", 5)]
+        assert sorted(out) == [("p10", 3), ("p11", 4), ("p12", 5)]
 
     def test_copy_prefix_still_guards(self):
         # while any inherited port is live, a copy stays silent
         fab, _, _, _, _ = build_golden()
         out, _ = fab.forward("S", "g", None, {Link("S", "p1")})
-        peers = {p.peer for p, _ in out}
+        peers = {peer for peer, _ in out}
         assert "p8" not in peers and "p9" not in peers
 
     def test_forward_reads_only_the_down_set_passed(self):
@@ -117,7 +109,7 @@ class TestChainGroups:
         fab.forward("S", "g", None, {Link("S", "p1")})
         # an earlier call's down set leaves nothing behind
         out, _ = fab.forward("S", "g", None, set())
-        assert [(p.peer, t) for p, t in out] == [("p1", None)]
+        assert out == [("p1", None)]
         assert fab.dump() == GOLDEN_STAR_DUMP
 
     def test_consulted_links_are_the_watch_ports_checked(self):
@@ -130,52 +122,19 @@ class TestChainGroups:
         fab.forward("S", "g", None, {Link("S", "p1"), Link("S", "p2")}, seen)
         assert seen == {Link("S", p) for p in ("p1", "p2", "p7", "p8", "p9")}
         # a copy run alone reads its inherited (Drop) watch ports too
-        fab.switches["S"].tables[0][("g", None)] = {0: (ToGroup(2),)}
+        fab.switches["S"].flows[("g", None)] = Flow({("S", "p8"): 2})
         seen.clear()
         out, _ = fab.forward("S", "g", None, {Link("S", "p1")}, seen)
         assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
-        sw = fab.switches["S"]
-        sw.tables[0][("g", None)] = {0: (ToGroup(9),)}
+        fab.switches["S"].flows[("g", None)] = Flow({("S", "p1"): 9})
         with pytest.raises(DataplaneError):
             fab.forward("S", "g", None, set())
 
 
 class TestForwardQuirks:
-    def test_mixed_actions_keep_groups_only(self):
-        fab = SwitchFabric(star(3))
-        inst = FlowInstaller(fab, "g")
-        inst.compile_path(_Tree("S"), [("S", "p1")])
-        inst._ensure_chain((0, ("S", "p1")))
-        sw = fab.switches["S"]
-        # hand-build the forbidden mix: plain output plus a group action
-        sw.tables[0][("g", None)] = {0: (Output(PortId("S", "p2")), ToGroup(1))}
-        out, matched = fab.forward("S", "g", None, set())
-        assert matched
-        assert [(p.peer, t) for p, t in out] == [("p1", None)]
-
-    def test_outputs_carry_the_tag_at_their_action(self):
-        fab = SwitchFabric(star(3))
-        acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")))
-        fab.switches["S"].tables[0][("g", None)] = {0: acts}
-        out, matched = fab.forward("S", "g", None, set())
-        assert matched
-        assert [(p.peer, t) for p, t in out] == [("p1", None), ("p2", 5)]
-
-    def test_group_action_drops_every_output(self):
-        fab = SwitchFabric(star(3))
-        inst = FlowInstaller(fab, "g")
-        inst.compile_path(_Tree("S"), [("S", "p3")])
-        inst._ensure_chain((0, ("S", "p3")))
-        acts = (Output(PortId("S", "p1")), SetTag(5), Output(PortId("S", "p2")), ToGroup(1))
-        fab.switches["S"].tables[0][("g", None)] = {0: acts}
-        out, matched = fab.forward("S", "g", None, set())
-        assert matched
-        # the group runs with the tag current at its action
-        assert [(p.peer, t) for p, t in out] == [("p3", 5)]
-
     def test_priority_order(self):
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
@@ -184,7 +143,7 @@ class TestForwardQuirks:
         assert matched and out == []  # drop entry holds the fort
         inst.compile_path(_Tree("S"), [("S", "p1")])
         out, _ = fab.forward("S", "g", None, set())
-        assert [(p.peer, t) for p, t in out] == [("p1", None)]
+        assert out == [("p1", None)]
         inst.remove_edge(_Tree("S"), ("S", "p1"))
         out, matched = fab.forward("S", "g", None, set())
         assert matched and out == []
@@ -194,22 +153,15 @@ class TestForwardQuirks:
         out, matched = fab.forward("S", "g", 5, set())
         assert not matched and out == []
 
-    def test_goto_must_advance(self):
-        fab = SwitchFabric(star(2))
-        sw = fab.switches["S"]
-        sw.tables[0][("g", None)] = {0: (GotoTable(0),)}
-        with pytest.raises(DataplaneError):
-            fab.forward("S", "g", None, set())
-
     def test_host_port_always_live(self):
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
         inst.compile_path(_Tree("S"), [("S", "p1")])
         gid = inst._ensure_chain((0, ("S", "p1")))
-        inst.add_backup_bucket("S", gid, PortId("S", HOST), 1)
+        inst.add_backup_bucket("S", gid, HOST, 1)
         # with every link down, the bucket watching the host port still fires
         out, _ = fab.forward("S", "g", None, set(fab.net.links))
-        assert [(p.peer, t) for p, t in out] == [(HOST, 1)]
+        assert out == [(HOST, 1)]
 
 
 class TestCompile:
@@ -223,12 +175,40 @@ class TestCompile:
         assert groups[1] == ((link("p1"), link("p2")), ((link("p8"), "p8", 2), (link("p11"), "p11", 4)))
         assert fab.compile("S", "g", 5) == (False, (), (), ())
 
-    def test_hosts_split_from_wires(self):
+    def test_terminal_flows_deliver_untagged(self):
+        fab = SwitchFabric(star(2))
+        inst = FlowInstaller(fab, "g")
+        inst.compile_path(_Tree("p1"), [], terminal="p1")
+        inst.compile_path(_Tree("p1", tag=3), [], terminal="p1")
+        assert fab.compile("p1", "g", None) == (True, (None,), (), ())
+        assert fab.compile("p1", "g", 3) == (True, (None,), (), ())
+        dump = fab.dump()
+        assert "match=(g,untagged) prio=0 actions=output:host" in dump
+        assert "match=(g,3) prio=0 actions=pop,output:host" in dump
+
+    def test_three_kinds(self):
         fab = SwitchFabric(star(3))
-        acts = (Output(PortId("S", "p1")), Output(PortId("S", "host")), SetTag(5), Output(PortId("S", "p2")))
-        fab.switches["S"].tables[0][("g", None)] = {0: acts}
-        assert fab.compile("S", "g", None) == (
-            True, (None,), ((Link("S", "p1"), "p1", None), (Link("S", "p2"), "p2", 5)), ())
+        inst = FlowInstaller(fab, "g")
+        tree = _Tree("p1", tag=4)  # S is a transit switch of backup tree 4
+        inst.compile_path(tree, [("S", "p3"), ("S", "p1"), ("S", "p2")], terminal="S")
+        gid = inst._ensure_chain((4, ("S", "p2")))
+        link = lambda p: Link("S", p)
+        assert fab.compile("S", "g", 4) == (
+            True,
+            (None,),
+            ((link("p1"), "p1", 4), (link("p3"), "p3", 4)),
+            (((), ((link("p2"), "p2", 4),)),),
+        )
+        assert gid == 1 and fab.switches["S"].flows[("g", 4)] == Flow(
+            {("S", "p1"): PLAIN, ("S", "p2"): 1, ("S", "p3"): PLAIN}, terminal=True)
+
+    def test_base_drop_only(self):
+        fab = SwitchFabric(star(2))
+        FlowInstaller(fab, "g").ensure_base("S")
+        assert fab.compile("S", "g", None) == (True, (), (), ())
+        assert fab.compile("S", "g", 1) == (False, (), (), ())
+        assert fab.compile("S", "h", None) == (False, (), (), ())
+        assert fab.dump() == "switch S\n  flow table=0 match=(g,untagged) prio=-1 actions=Drop\n"
 
     def test_installer_drops_each_key_it_changes(self):
         fab = SwitchFabric(star(4))
@@ -239,8 +219,8 @@ class TestCompile:
             lambda: inst.ensure_base("S"),
             lambda: inst.compile_path(tree, [("S", "p1")], terminal="p1"),
             lambda: inst._ensure_chain((0, ("S", "p1"))),
-            lambda: inst.add_backup_bucket("S", 1, PortId("S", "p2"), 1),  # appends
-            lambda: inst.add_backup_bucket("S", 1, PortId("S", "p3"), 1),  # copies
+            lambda: inst.add_backup_bucket("S", 1, "p2", 1),  # appends
+            lambda: inst.add_backup_bucket("S", 1, "p3", 1),  # copies
             lambda: inst.remove_edge(backup, ("S", "p3")),
             lambda: inst.remove_edge(backup, ("S", "p2")),
             lambda: inst.remove_terminal(tree, "p1"),
@@ -256,17 +236,21 @@ class TestCompile:
 
 class TestInstallerLifecycle:
     def test_promotion_and_dissolution_round_trip(self):
-        fab = SwitchFabric(star(4))
-        inst = FlowInstaller(fab, "g")
-        tree = _Tree("S")
-        inst.compile_path(tree, [("S", "p1")])
-        plain = fab.dump()
-        inst._ensure_chain((0, ("S", "p1")))
-        backup = _Tree("S", tag=1, protects=(0, ("S", "p1")))
-        inst.compile_path(backup, [("S", "p2")])
-        assert "group" in fab.dump()
-        inst.remove_edge(backup, ("S", "p2"))
-        assert fab.dump() == plain
+        # p2 is appended to group 1 and p3 goes into a copy; removing them in
+        # either order dissolves the group back to a plain output
+        for order in (["p2"], ["p2", "p3"], ["p3", "p2"]):
+            fab = SwitchFabric(star(4))
+            inst = FlowInstaller(fab, "g")
+            inst.compile_path(_Tree("S"), [("S", "p1")])
+            plain = fab.dump()
+            backup = _Tree("S", tag=1, protects=(0, ("S", "p1")))
+            for peer in sorted(order):
+                inst.compile_path(backup, [("S", peer)])
+            assert "group" in fab.dump()
+            for peer in order:
+                inst.remove_edge(backup, ("S", peer))
+            assert fab.dump() == plain, order
+            assert fab.switches["S"].groups == {}
 
     def test_three_kinds_three_tables(self):
         net = load_topology({
@@ -316,7 +300,7 @@ class TestInstallerLifecycle:
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
         with pytest.raises(DataplaneError):
-            inst.add_backup_bucket("S", 42, PortId("S", "p1"), 1)
+            inst.add_backup_bucket("S", 42, "p1", 1)
 
     def test_chain_of_uninstalled_edge(self):
         fab = SwitchFabric(star(2))

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from ffmcast.dataplane import Output, PortId, SetTag, SwitchFabric, ToGroup
+from ffmcast.dataplane import SwitchFabric
 from ffmcast.errors import BudgetExceeded, DataplaneError
 from ffmcast.failsim import (
     FailureCase,
@@ -20,19 +20,20 @@ from ffmcast.failsim import (
     verify_tolerance,
 )
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
-from ffmcast.topology import HOST, Link, complete_graph, geant, load_topology
+from ffmcast.topology import Link, complete_graph, geant, load_topology
 from tests.test_protection import triangle
 from tests.test_topology import rand_connected
 
 
-def replace_entry(gs, switch, tag, *actions):
-    """Overwrite the (switch, tag) table-0 entry of gs's group with hand-built actions.
+def replace_record(gs, switch, tag, hosts=(), wires=()):
+    """Make gs's group do something else at (switch, tag): a hand-written
+    record in the fabric's view, the level walks read.
 
-    Like any edit made outside FlowInstaller, it clears the fabric's view.
+    hosts are the tags of the host deliveries, wires the (peer, outgoing tag)
+    of the static outputs.
     """
-    key = (gs.installer.group_key, tag)
-    gs.fabric.switches[switch].tables[0][key] = {0: actions}
-    gs.fabric.view.clear()
+    wires = tuple((Link(switch, peer), peer, out_tag) for peer, out_tag in wires)
+    gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, hosts, wires, ())
 
 
 def geant_f2_all_joined():
@@ -118,7 +119,9 @@ class TestSimulateDelivery:
     def test_unknown_group_reference_raises(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
-        replace_entry(gs, "A", None, ToGroup(99))
+        # A's flow points its edge to C at a group A does not have
+        gs.fabric.switches["A"].flows[(gs.installer.group_key, None)].children[("A", "C")] = 99
+        gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
         with pytest.raises(DataplaneError):
             simulate_delivery(gs, [Link("A", "C")])
 
@@ -142,10 +145,7 @@ class TestSimulateDelivery:
         protect_join(gs, "B")
         assert not simulate_delivery(gs).loop_guard_tripped  # fills the view
         # sabotage: make B bounce the packet back to A forever
-        swb = gs.fabric.switches["B"]
-        key = (gs.installer.group_key, None)
-        swb.tables[0][key] = {0: (Output(PortId("B", "A")),)}
-        gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
+        replace_record(gs, "B", None, wires=[("A", None)])
         rep = simulate_delivery(gs)
         assert rep.loop_guard_tripped
 
@@ -206,8 +206,7 @@ class TestVerifyTolerance:
     def test_duplicate_copies_fail(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
-        host = Output(PortId("C", HOST))
-        replace_entry(gs, "C", None, host, host)  # C delivers every primary copy twice
+        replace_record(gs, "C", None, hosts=(None, None))  # C delivers every primary copy twice
         rep = assert_matches_brute_force(gs, 1)
         assert rep.duplicates == 3  # baseline, A-B down, B-C down
         assert not rep.unexcused and not rep.loop_guard_tripped
@@ -217,7 +216,7 @@ class TestVerifyTolerance:
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
         # B relays the backup copy and also hands it to its own host
-        replace_entry(gs, "B", 1, Output(PortId("B", "C")), Output(PortId("B", HOST)))
+        replace_record(gs, "B", 1, hosts=(1,), wires=[("C", 1)])
         rep = assert_matches_brute_force(gs, 1)
         assert rep.stray == 1  # only A-C down takes the backup tree
         assert not rep.unexcused and not rep.ok
@@ -225,7 +224,7 @@ class TestVerifyTolerance:
     def test_unmatched_packets_fail(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
-        replace_entry(gs, "B", 1, SetTag(7), Output(PortId("B", "C")))  # C knows no tag 7
+        replace_record(gs, "B", 1, wires=[("C", 7)])  # C knows no tag 7
         rep = assert_matches_brute_force(gs, 1)
         assert rep.unmatched == 1
         assert not rep.ok
@@ -247,8 +246,8 @@ class TestVerifyTolerance:
 
 class TestSweepRunsInC:
     def test_no_python_hash_eq_or_is_host(self):
-        # regression guard: Link hashing and comparison and PortId's
-        # properties cost no Python-level call on the forwarding path, and a
+        # regression guard: Link hashing and comparison cost no
+        # Python-level call on the forwarding path, and a
         # sweep of an unchanged fabric compiles nothing
         gs = geant_f2_all_joined()
         first = verify_tolerance(gs)  # fills the fabric's view
@@ -313,7 +312,7 @@ class TestVerifyMatchesBruteForce:
         protect_join(gs, "b")
         # b bounces tag-1 copies back to c, which sends them to b again: a
         # loop that only the r-a failure (backup tree 1) reaches
-        replace_entry(gs, "b", 1, Output(PortId("b", "c")))
+        replace_record(gs, "b", 1, wires=[("c", 1)])
         rep = assert_matches_brute_force(gs, 2)
         assert rep.loop_guard_tripped and rep.baseline_ok
         assert not rep.ok

@@ -8,11 +8,14 @@ them.
 """
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 from ffmcast.cli import main
+from ffmcast.dataplane import SwitchFabric
 from ffmcast.harness import load_scenario, run_scenario
-from ffmcast.protection import ProtectionConfig
+from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import geant
 
 SCENARIO = Path(__file__).parent / "data" / "geant_f2_churn.json"
@@ -43,3 +46,37 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
     result = run_scenario(geant(), load_scenario(SCENARIO), ProtectionConfig("spt", 2))
     got["fabric.dump"] = sha(result.gs.fabric.dump().encode("utf-8"))
     assert got == PINNED
+
+
+def shared_geant_fabric():
+    """Four groups on one geant fabric after a seeded run of 160 joins and leaves."""
+    rng = random.Random(2017)
+    net = geant()
+    fabric = SwitchFabric(net)
+    config = ProtectionConfig("spt", 2)
+    groups = [GroupState(net, src, config, fabric=fabric) for src in rng.sample(net.nodes, 4)]
+    for _ in range(160):
+        gs = rng.choice(groups)
+        if gs.subscribers and rng.random() < 0.35:
+            protect_leave(gs, rng.choice(sorted(gs.subscribers)))
+        else:
+            protect_join(gs, rng.choice([v for v in net.nodes if v != gs.source]))
+    return fabric
+
+
+SHARED_PINNED = {
+    "shared/fabric.dump": "73e4f76bf9c548b6506076c3be6ff4c80ac2acdb6fe6a5d5577e451d49f5c44c",
+    "shared/flow_counts": "4c7a4a795583276cfed66a1ced62d9f2514138a7743a5894e0e9cbdcc4dfc527",
+    "shared/group_counts": "05e39a2eeac9596f2fdd60b132f85655ece972d92aedfdd7b7176b651d351962",
+}
+
+
+def test_shared_fabric_matches_pinned_digests():
+    # several groups' flows and base drops interleave in the dump's sort
+    fabric = shared_geant_fabric()
+    got = {
+        "shared/fabric.dump": sha(fabric.dump().encode("utf-8")),
+        "shared/flow_counts": sha(json.dumps(fabric.flow_counts(), sort_keys=True).encode("utf-8")),
+        "shared/group_counts": sha(json.dumps(fabric.group_counts(), sort_keys=True).encode("utf-8")),
+    }
+    assert got == SHARED_PINNED

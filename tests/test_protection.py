@@ -362,12 +362,16 @@ def check_installer_index(gs):
         group = switches[key[1][0]].groups.get(gid)
         assert group is not None and key in group.members, key
         referenced.add((key[1][0], gid))
-    for (switch, _), lf in inst._flows.items():
-        for mode in lf.children.values():
-            assert mode == PLAIN or mode in switches[switch].groups, (switch, mode)
-            if mode != PLAIN:
-                referenced.add((switch, mode))
-                referenced.update((switch, c) for c in switches[switch].groups[mode].copies)
+    for switch, sw in switches.items():
+        for (group_key, _), flow in sw.flows.items():
+            assert flow.children or flow.terminal, (switch, group_key)
+            if group_key != inst.group_key:
+                continue
+            for mode in flow.children.values():
+                assert mode == PLAIN or mode in sw.groups, (switch, mode)
+                if mode != PLAIN:
+                    referenced.add((switch, mode))
+                    referenced.update((switch, c) for c in sw.groups[mode].copies)
     for switch, gid in referenced:
         group = switches[switch].groups[gid]
         backups = group.members
@@ -375,12 +379,16 @@ def check_installer_index(gs):
             # the primary slot: the owner's own tree edge, and only there
             tag, edge = group.members[0]
             assert tag == group.owner_tag, (switch, gid)
-            assert inst._flows[(switch, tag)].children[edge] == gid, (switch, gid)
+            flow = switches[switch].flows[(inst.group_key, tag or None)]
+            assert flow.children[edge] == gid, (switch, gid)
             backups = group.members[1:]
         for key in backups:
             assert key[0] != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)
         edges = [edge for _, edge in group.members] + group.drop_watch
         assert all(edge[0] == switch for edge in edges), (switch, gid)
+    # flow_count() and dump() are two derivations of the same flows
+    dumped = sum(1 for line in gs.fabric.dump().splitlines() if line.startswith("  flow "))
+    assert gs.fabric.total_flows() == dumped
 
 
 class TestInstallerIndex:
