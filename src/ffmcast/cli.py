@@ -77,7 +77,6 @@ def _run_members(args):
 
 def cmd_run(args) -> int:
     net, result = _run_members(args)
-    gs = result.gs
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", result.snapshots)

@@ -3,19 +3,20 @@
 Switch state is kept as the records the installer works with. Each switch
 holds flows[(group_key, tag)], a Flow naming how each tree edge out of the
 switch is carried (PLAIN or a group id) and whether the switch delivers to
-its own host; tag None matches untagged packets. Its base set names the
-groups whose source sits here, each with a priority -1 drop so unsubscribed
-traffic dies quietly, and groups maps a group id to its ChainGroup. No
-OpenFlow table is kept: dump() renders each Flow as up to three entries in
+its own host. The tag is the tree's tag, an int everywhere from the tree to
+the walk; tag 0, the primary tree's, matches untagged packets. Its base set
+names the groups whose source sits here, each with a priority -1 drop so
+unsubscribed traffic dies quietly, and groups maps a group id to its
+ChainGroup. No OpenFlow table is kept: dump() renders each Flow as up to three entries in
 table 0, 1 and 2 (group actions, then plain outputs, then the host
 delivery, chained by goto), and flow_count() counts what it renders.
 
 SwitchFabric.compile is the one reader of that state for forwarding. It
 flattens what a packet of one group does at one (switch, tag) into a record
-of plain tuples: whether it matched, its host deliveries, its static wires,
-and its fast-failover groups as watch links in failover order. Walks read
-records from the fabric's `view`, keyed by (group_key, switch, tag) and
-filled on first use; it persists across walks and sweeps. The installer
+of plain tuples: whether it matched, whether it delivers to the host, its
+static wires, and its fast-failover groups as watch links in failover
+order. Walks read records from the fabric's `view`, keyed by (group_key,
+switch, tag) and filled on first use; it persists across walks and sweeps. The installer
 drops exactly the key of each (switch, tag) it changes, so the view never
 goes stale. Code that edits flows or groups by hand must clear the view (or
 pop the keys it touched) afterwards; a test may instead write a record into
@@ -24,12 +25,13 @@ the view directly, which is what walks read.
 A fast-failover group is an ordered bucket list where the first bucket with a
 live watch port wins. Each bucket is named by the tree edge it carries,
 (tree tag, directed edge): it watches and outputs to the edge's far end and
-stamps the tree tag, except the primary slot, which keeps the packet's tag.
-Backup trees rooted at a switch add buckets to the group protecting the
-link they cover; when one backup tree needs several egress ports at the
-same switch, the extra ports get copies of the group whose inherited
-buckets are rewritten to Drop so each copy emits at most one packet, and
-the owning flow points at the copies as well.
+stamps the tag it stores. The primary slot stores the tag of the flow that
+owns the group, so it keeps the packet's tag. Backup trees rooted at a
+switch add buckets to the group protecting the link they cover; when one
+backup tree needs several egress ports at the same switch, the extra ports
+get copies of the group whose inherited buckets are rewritten to Drop so
+each copy emits at most one packet, and the owning flow points at the
+copies as well. Copies are reached only through that flow.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ class ChainGroup:
     members are the cascade's own buckets in failover order, each the
     (tree tag, directed edge) it carries: the bucket watches and outputs to
     edge[1] and stamps the tag. The primary slot, members[0] of an original,
-    carries owner_tag and keeps the packet's tag instead; a backup tree has
-    no flow at its own root, so no backup bucket carries owner_tag.
+    carries owner_tag, the tag of the flow that references the group, so it
+    keeps the packet's tag; a backup tree has no flow at its own root, so no
+    backup bucket carries owner_tag.
     drop_watch holds the edges of a copy's inherited prefix (same watch
     ports, Drop actions).
     """
@@ -80,7 +83,7 @@ class Flow:
 
 class SwitchState:
     def __init__(self):
-        self.flows: dict[tuple[str, int | None], Flow] = {}
+        self.flows: dict[tuple[str, int], Flow] = {}
         self.base: set[str] = set()  # group keys with the priority -1 drop
         self.groups: dict[int, ChainGroup] = {}
         self._next_gid = 1
@@ -94,13 +97,12 @@ class SwitchState:
         return len(self.base) + sum(flow.table_count() for flow in self.flows.values())
 
 
-# (link, peer switch, outgoing tag) of a static wire or a failover member; a
-# member watching the host port has peer HOST
-Wire = tuple[Link, str, int | None]
+# (link, peer switch, outgoing tag) of a static wire or a failover member
+Wire = tuple[Link, str, int]
 # (links of the inherited Drop buckets, members in failover order)
 FFGroup = tuple[tuple[Link, ...], tuple[Wire, ...]]
-# (matched, outgoing tags of the host deliveries, static wires, groups)
-Record = tuple[bool, tuple[int | None, ...], tuple[Wire, ...], tuple[FFGroup, ...]]
+# (matched, delivers to the host, static wires, groups)
+Record = tuple[bool, bool, tuple[Wire, ...], tuple[FFGroup, ...]]
 
 
 class SwitchFabric:
@@ -114,21 +116,21 @@ class SwitchFabric:
     def __init__(self, net: Network):
         self.net = net
         self.switches = {n: SwitchState() for n in net.nodes}
-        self.view: dict[tuple[str, str, int | None], Record] = {}
+        self.view: dict[tuple[str, str, int], Record] = {}
 
-    def compile(self, switch: str, group_key: str, tag: int | None) -> Record:
+    def compile(self, switch: str, group_key: str, tag: int) -> Record:
         """What a packet of the group with this tag does at the switch, for any
-        down set: (matched, host delivery tags, static wires, groups).
+        down set: (matched, terminal, static wires, groups).
 
         Wires and groups follow the flow's edges in sorted order, each group
-        followed by its copies; both carry the packet's tag, and a host
-        delivery pops it. Without a flow, an untagged packet at a switch with
-        the group's base drop matches and goes nowhere.
+        followed by its copies. Wires keep the packet's tag and each group
+        member stamps its own. Without a flow, an untagged packet (tag 0) at
+        a switch with the group's base drop matches and goes nowhere.
         """
         sw = self.switches[switch]
         flow = sw.flows.get((group_key, tag))
         if flow is None:
-            return tag is None and group_key in sw.base, (), (), ()
+            return tag == 0 and group_key in sw.base, False, (), ()
         wires: list[Wire] = []
         groups: list[FFGroup] = []
         for edge in sorted(flow.children):
@@ -139,40 +141,37 @@ class SwitchFabric:
             group = sw.groups.get(gid)
             if group is None:
                 raise DataplaneError(f"flow references unknown group {gid} on {switch}")
-            groups.append(self._compile_group(group, tag))
-            groups.extend(self._compile_group(sw.groups[c], tag) for c in group.copies)
-        return True, (None,) if flow.terminal else (), tuple(wires), tuple(groups)
+            groups.append(self._compile_group(group))
+            groups.extend(self._compile_group(sw.groups[c]) for c in group.copies)
+        return True, flow.terminal, tuple(wires), tuple(groups)
 
     @staticmethod
-    def _compile_group(group: ChainGroup, tag: int | None) -> FFGroup:
+    def _compile_group(group: ChainGroup) -> FFGroup:
         drops = tuple([Link(*edge) for edge in group.drop_watch])
-        members = tuple([
-            (Link(*edge), edge[1], tag if m_tag == group.owner_tag else m_tag)
-            for m_tag, edge in group.members
-        ])
+        members = tuple([(Link(*edge), edge[1], m_tag) for m_tag, edge in group.members])
         return drops, members
 
     def forward(
         self,
         switch: str,
         group_key: str,
-        tag: int | None,
+        tag: int,
         down: Set[Link],
         consulted: set[Link] | None = None,
-    ) -> tuple[list[tuple[str, int | None]], bool]:
+    ) -> tuple[list[tuple[str, int]], bool]:
         """Run one packet through a switch with the given links down; returns
         (emissions, matched).
 
-        Each emission is (peer, outgoing tag), with peer HOST for a host
-        delivery: the live member of each group (an inherited Drop bucket
-        that is live consumes the packet), then the static wires, then the
-        host deliveries. When `consulted` is a set, the link of every watch
-        port a group checked is added to it: the result is the same for any
-        down set that agrees with `down` on those links. Reads a fresh
-        compile(), never the view.
+        Each emission is (peer, outgoing tag), with (HOST, 0) for the host
+        delivery, which pops the tag: the live member of each group (an
+        inherited Drop bucket that is live consumes the packet), then the
+        static wires, then the host delivery. When `consulted` is a set, the
+        link of every watch port a group checked is added to it: the result
+        is the same for any down set that agrees with `down` on those links.
+        Reads a fresh compile(), never the view.
         """
-        matched, hosts, wires, groups = self.compile(switch, group_key, tag)
-        emissions: list[tuple[str, int | None]] = []
+        matched, terminal, wires, groups = self.compile(switch, group_key, tag)
+        emissions: list[tuple[str, int]] = []
         for drops, members in groups:
             # first live bucket wins; a live inherited Drop bucket consumes the packet
             for link in drops:
@@ -188,7 +187,8 @@ class SwitchFabric:
                         emissions.append((peer, out_tag))
                         break
         emissions.extend((peer, out_tag) for _, peer, out_tag in wires)
-        emissions.extend((HOST, out_tag) for out_tag in hosts)
+        if terminal:
+            emissions.append((HOST, 0))
         return emissions, matched
 
     # metrics -------------------------------------------------------
@@ -219,7 +219,7 @@ class SwitchFabric:
         lines: list[str] = []
         for node in self.net.nodes:
             sw = self.switches[node]
-            entries = [(0, gk, False, 0, -1, "Drop") for gk in sw.base]
+            entries = [(0, gk, 0, -1, "Drop") for gk in sw.base]
             for (gk, tag), flow in sw.flows.items():
                 groups = []
                 outputs = []
@@ -230,16 +230,16 @@ class SwitchFabric:
                     else:
                         groups.append(f"group:{gid}")
                         groups.extend(f"group:{c}" for c in sw.groups[gid].copies)
-                host = ["output:host"] if tag is None else ["pop", "output:host"]
+                host = ["pop", "output:host"] if tag else ["output:host"]
                 kinds = [k for k in (groups, outputs, host if flow.terminal else []) if k]
                 for t, acts in enumerate(kinds):
                     goto = [f"goto:{t + 1}"] if t < len(kinds) - 1 else []
-                    entries.append((t, gk, tag is not None, tag or 0, 0, ",".join(acts + goto)))
+                    entries.append((t, gk, tag, 0, ",".join(acts + goto)))
             if not entries and not sw.groups:
                 continue
             lines.append(f"switch {node}")
-            for t, gk, tagged, tag, prio, acts in sorted(entries):
-                tag_s = str(tag) if tagged else "untagged"
+            for t, gk, tag, prio, acts in sorted(entries):
+                tag_s = str(tag) if tag else "untagged"
                 lines.append(f"  flow table={t} match=({gk},{tag_s}) prio={prio} actions={acts}")
             for gid in sorted(sw.groups):
                 group = sw.groups[gid]
@@ -257,9 +257,8 @@ class FlowInstaller:
     It edits the switches' flows, base drops and groups in place, which makes
     installation idempotent and removal an exact inverse: each flow's
     children say how its tree edges are carried (PLAIN or a gid), and
-    _buckets names the group holding each backup tree's first hop. Tree tag
-    0 (the primary) is flow tag None. Every edit of a (switch, tag) drops
-    that key from the fabric's view.
+    _buckets names the group holding each backup tree's first hop. Every
+    edit of a (switch, tag) drops that key from the fabric's view.
     """
 
     def __init__(self, fabric: SwitchFabric, group_key: str):
@@ -267,21 +266,16 @@ class FlowInstaller:
         self.group_key = group_key
         # (backup tree tag, first-hop edge) -> gid of the group holding its bucket
         self._buckets: dict[tuple[int, tuple[str, str]], int] = {}
-        self._base_root: str | None = None
-
-    def _key(self, tag: int) -> tuple[str, int | None]:
-        """The flows key of one tree tag."""
-        return self.group_key, None if tag == 0 else tag
 
     def _edited(self, switch: str, tag: int) -> None:
         """After an edit of one (switch, tree tag): forget its compiled record,
         and its flow once it forwards nothing."""
-        key = self._key(tag)
+        key = (self.group_key, tag)
         flows = self.fabric.switches[switch].flows
         flow = flows.get(key)
         if flow is not None and not flow.children and not flow.terminal:
             del flows[key]
-        self.fabric.view.pop((self.group_key, switch, key[1]), None)
+        self.fabric.view.pop((self.group_key, switch, tag), None)
 
     # group base ----------------------------------------------------
 
@@ -289,14 +283,10 @@ class FlowInstaller:
         """Low-priority drop at the sourcing switch so unsubscribed traffic dies quietly."""
         self.fabric.switches[root].base.add(self.group_key)
         self._edited(root, 0)
-        self._base_root = root
 
-    def remove_base(self) -> None:
-        if self._base_root is None:
-            return
-        self.fabric.switches[self._base_root].base.discard(self.group_key)
-        self._edited(self._base_root, 0)
-        self._base_root = None
+    def remove_base(self, root: str) -> None:
+        self.fabric.switches[root].base.discard(self.group_key)
+        self._edited(root, 0)
 
     # install -------------------------------------------------------
 
@@ -307,7 +297,7 @@ class FlowInstaller:
         in the group covering the protected link; every other edge is a
         child of the (switch, tag) flow.
         """
-        key = self._key(tree.tag)
+        key = (self.group_key, tree.tag)
         switches = self.fabric.switches
         for a, b in path:
             if tree.tag != 0 and a == tree.root:
@@ -337,7 +327,7 @@ class FlowInstaller:
         tag, edge = parent_key
         switch = edge[0]
         sw = self.fabric.switches[switch]
-        flow = sw.flows.get(self._key(tag))
+        flow = sw.flows.get((self.group_key, tag))
         if flow is None or edge not in flow.children:
             raise DataplaneError(f"edge {parent_key} is not installed")
         if flow.children[edge] != PLAIN:
@@ -382,7 +372,7 @@ class FlowInstaller:
     # removal -------------------------------------------------------
 
     def remove_terminal(self, tree, v: str) -> None:
-        flow = self.fabric.switches[v].flows.get(self._key(tree.tag))
+        flow = self.fabric.switches[v].flows.get((self.group_key, tree.tag))
         if flow is None or not flow.terminal:
             return
         flow.terminal = False
@@ -394,7 +384,7 @@ class FlowInstaller:
         if key in self._buckets:
             self._remove_member(self._buckets[key], key)
             return
-        flow = self.fabric.switches[edge[0]].flows.get(self._key(tree.tag))
+        flow = self.fabric.switches[edge[0]].flows.get((self.group_key, tree.tag))
         mode = None if flow is None else flow.children.get(edge)
         if mode == PLAIN:
             del flow.children[edge]
@@ -410,7 +400,7 @@ class FlowInstaller:
             for key in sw.groups.pop(dead_gid).members:
                 if key != slot0_key:  # the primary slot is a flow child, not a bucket
                     del self._buckets[key]
-        del sw.flows[self._key(tag)].children[edge]
+        del sw.flows[(self.group_key, tag)].children[edge]
         self._edited(switch, tag)
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
@@ -428,5 +418,5 @@ class FlowInstaller:
             # only the primary slot remains: dissolve back to a plain output
             tag, edge = group.members[0]
             del sw.groups[group.gid]
-            sw.flows[self._key(tag)].children[edge] = PLAIN
+            sw.flows[(self.group_key, tag)].children[edge] = PLAIN
         self._edited(switch, group.owner_tag)

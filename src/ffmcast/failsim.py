@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import BudgetExceeded, DataplaneError
 from .protection import GroupState
-from .topology import HOST, Link
+from .topology import Link
 from .trees import MulticastTree, backup_steps
 
 
@@ -56,12 +56,15 @@ def simulate_delivery(
 ) -> DeliveryReport:
     """Forward one packet from the source with the given links down.
 
-    The walk reads the fabric's compiled records (SwitchFabric.compile,
-    cached in `gs.fabric.view`) and the `failed` links only; the report does
-    not restate them. When `consulted` is a set, every link whose state the
-    walk read is added to it: the watch ports of the groups that ran and the
-    wires of the outputs taken. Any failure set that agrees with `failed` on
-    those links gives the same walk, and an equal report.
+    The packet starts untagged (tag 0) at the source. The walk reads the
+    fabric's compiled records (SwitchFabric.compile, cached in
+    `gs.fabric.view`) and the `failed` links only; the report does not
+    restate them. A terminal record hands one copy to the switch's host,
+    wires keep the packet's tag and a group's first live member stamps its
+    own. When `consulted` is a set, every link whose state the walk read is
+    added to it: the watch ports of the groups that ran and the wires of the
+    outputs taken. Any failure set that agrees with `failed` on those links
+    gives the same walk, and an equal report.
     """
     fabric = gs.fabric
     view = fabric.view
@@ -73,19 +76,19 @@ def simulate_delivery(
     arrived: dict[str, list[int]] = {}
     unmatched = 0
     tripped = False
-    queue: deque[tuple[str, int | None, int]] = deque([(gs.source, None, 0)])
+    queue: deque[tuple[str, int, int]] = deque([(gs.source, 0, 0)])
     while queue:
         switch, tag, hops = queue.popleft()
         key = (group_key, switch, tag)
         record = view.get(key)
         if record is None:
             record = view[key] = fabric.compile(switch, group_key, tag)
-        matched, hosts, wires, groups = record
+        matched, terminal, wires, groups = record
         if not matched:
             unmatched += 1
             continue
-        if hosts:
-            arrived.setdefault(switch, []).extend([hops] * len(hosts))
+        if terminal:
+            arrived.setdefault(switch, []).append(hops)
         nxt = hops + 1
         for link, peer, out_tag in wires:
             seen.add(link)
@@ -106,9 +109,7 @@ def simulate_delivery(
                     seen.add(link)
                     if link in down:
                         continue
-                    if peer == HOST:
-                        arrived.setdefault(switch, []).append(hops)
-                    elif nxt > max_hops:
+                    if nxt > max_hops:
                         tripped = True
                     else:
                         queue.append((peer, out_tag, nxt))

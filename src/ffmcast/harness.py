@@ -106,8 +106,8 @@ def take_snapshot(gs: GroupState, index: int, event: str) -> MetricsSnapshot:
         event=event,
         subscribers=len(gs.primary.terminals),
         tags=gs.tags_allocated,
-        flows_total=gs.fabric.total_flows(),
-        groups_total=gs.fabric.total_groups(),
+        flows_total=sum(flows.values()),
+        groups_total=sum(groups.values()),
         join_calls=gs.join_calls,
         flows_by_switch=tuple((n, c) for n, c in sorted(flows.items()) if c),
         groups_by_switch=tuple((n, c) for n, c in sorted(groups.items()) if c),

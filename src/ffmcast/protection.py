@@ -49,6 +49,7 @@ class GroupState:
         self.primary = MulticastTree(root=source)
         self.fabric = fabric or SwitchFabric(net)
         self.installer = FlowInstaller(self.fabric, f"mcast-{source}")
+        self.tags_allocated = 0  # backup tree tags drawn so far; the primary has tag 0
         self.join_calls = 0
 
     @property
@@ -71,28 +72,12 @@ class GroupState:
             if v not in b.terminals
         )
 
-    @property
-    def tags_allocated(self) -> int:
-        return self.primary.next_tag - 1
-
     def fresh_tag(self) -> int:
-        nxt = self.primary.next_tag
-        if nxt > MAX_TAG:
+        """The next backup tree tag. Tags are drawn in order and never reused."""
+        if self.tags_allocated >= MAX_TAG:
             raise TagSpaceExhausted(f"all {MAX_TAG} tags in use")
-        self.primary.next_tag = nxt + 1
-        return nxt
-
-    def all_trees(self) -> list[MulticastTree]:
-        """Primary tree first, then backup trees in breadth-first order."""
-        out = [self.primary]
-        q = deque([self.primary])
-        while q:
-            t = q.popleft()
-            for edge in sorted(t.backup):
-                b = t.backup[edge]
-                out.append(b)
-                q.append(b)
-        return out
+        self.tags_allocated += 1
+        return self.tags_allocated
 
 
 def protect_join(gs: GroupState, v: str) -> bool:
@@ -162,7 +147,7 @@ def protect_leave(gs: GroupState, v: str) -> None:
         raise TopologyError(f"unknown node {v!r}")
     _leave(gs, gs.primary, v)
     if not gs.primary.terminals:
-        gs.installer.remove_base()
+        gs.installer.remove_base(gs.source)
 
 
 def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:

@@ -41,23 +41,21 @@ class Link(_Endpoints):
             raise TopologyError(f"self-loop on {a!r}")
         return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
-    def other(self, node: str) -> str:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise TopologyError(f"{node!r} is not an endpoint of {self}")
-
     def __str__(self) -> str:
         return f"{self.a}-{self.b}"
 
 
 class Network:
-    """Immutable undirected graph with sorted adjacency."""
+    """Immutable undirected graph with sorted adjacency.
+
+    HOST names every switch's host port, so no node may take that name.
+    """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):
         self.nodes: tuple[str, ...] = tuple(sorted(set(nodes)))
         self._node_set = frozenset(self.nodes)
+        if HOST in self._node_set:
+            raise TopologyError(f"node id {HOST!r} is reserved for host ports")
         normalized = set()
         for link in links:
             if not isinstance(link, Link):
@@ -81,12 +79,6 @@ class Network:
             return self._adj[node]
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
-
-    def has_link(self, a: str, b: str) -> bool:
-        return Link(a, b) in self.links
 
     def __repr__(self) -> str:
         return f"Network({len(self.nodes)} nodes, {len(self.links)} links)"
@@ -121,8 +113,6 @@ def load_topology(source: Mapping | str | Path) -> Network:
     for n in nodes:
         if not isinstance(n, str) or not n:
             raise TopologyError(f"node id must be a non-empty string, got {n!r}")
-        if n == HOST:
-            raise TopologyError(f"node id {HOST!r} is reserved for host ports")
     if len(set(nodes)) != len(nodes):
         raise TopologyError("duplicate node ids")
     if not isinstance(links, list):

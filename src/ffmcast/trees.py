@@ -23,16 +23,16 @@ PathEdges = list[tuple[str, str]]
 class MulticastTree:
     """Rooted delivery tree.
 
-    tag 0 marks the untagged primary tree; backup trees carry VLAN tags
-    1..4094. next_tag lives on the primary tree and only grows, so tags are
-    never reused. terminals are the switches whose host receives the stream
-    from this tree; protects records which edge of which parent tree this
-    tree is the backup for.
+    tag 0 marks the primary tree, whose packets travel untagged; backup trees
+    carry VLAN tags 1..4094, drawn by GroupState.fresh_tag. The switch state
+    is keyed by the same int, so a flow matches tree.tag and a bucket onto
+    this tree stamps it. terminals are the switches whose host receives the
+    stream from this tree; protects records which edge of which parent tree
+    this tree is the backup for.
     """
 
     root: str
     tag: int = 0
-    next_tag: int = 1
     nodes: set[str] = field(default_factory=set)
     parent: dict[str, str] = field(default_factory=dict)
     children: dict[str, set[str]] = field(default_factory=dict)
@@ -42,12 +42,6 @@ class MulticastTree:
 
     def __post_init__(self) -> None:
         self.nodes.add(self.root)
-
-    def edge_count(self) -> int:
-        return len(self.parent)
-
-    def tree_links(self) -> set[Link]:
-        return {Link(p, c) for c, p in self.parent.items()}
 
     def path_to(self, node: str) -> PathEdges:
         """Directed edges from the root down to node."""
@@ -63,9 +57,6 @@ class MulticastTree:
             cur = pre
         chain.reverse()
         return chain
-
-    def out_degree(self, node: str) -> int:
-        return len(self.children.get(node, ()))
 
 
 def apply_path(tree: MulticastTree, path: PathEdges) -> None:

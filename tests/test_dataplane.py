@@ -56,10 +56,10 @@ def build_golden():
 
 
 def fill_view(fab, group_key):
-    """Cache the record of the untagged key and of every tag a flow matches,
-    at every switch, as walks reaching them would."""
+    """Cache the record of the untagged key (tag 0) and of every tag a flow
+    matches, at every switch, as walks reaching them would."""
     for switch, sw in fab.switches.items():
-        tags = {None} | {tag for gk, tag in sw.flows if gk == group_key}
+        tags = {0} | {tag for gk, tag in sw.flows if gk == group_key}
         for tag in tags:
             key = (group_key, switch, tag)
             if key not in fab.view:
@@ -90,48 +90,48 @@ class TestChainGroups:
     def test_first_live_bucket_wins(self):
         fab, _, _, _, _ = build_golden()
         down = lambda *ps: {Link("S", p) for p in ps}
-        out, _ = fab.forward("S", "g", None, down("p1"))
+        out, _ = fab.forward("S", "g", 0, down("p1"))
         assert sorted(out) == [("p2", 1)]
-        out, _ = fab.forward("S", "g", None, down("p1", "p2"))
+        out, _ = fab.forward("S", "g", 0, down("p1", "p2"))
         assert sorted(out) == [("p7", 2), ("p8", 2), ("p9", 2)]
-        out, _ = fab.forward("S", "g", None, down("p1", "p2", "p7", "p8", "p9"))
+        out, _ = fab.forward("S", "g", 0, down("p1", "p2", "p7", "p8", "p9"))
         assert sorted(out) == [("p10", 3), ("p11", 4), ("p12", 5)]
 
     def test_copy_prefix_still_guards(self):
         # while any inherited port is live, a copy stays silent
         fab, _, _, _, _ = build_golden()
-        out, _ = fab.forward("S", "g", None, {Link("S", "p1")})
+        out, _ = fab.forward("S", "g", 0, {Link("S", "p1")})
         peers = {peer for peer, _ in out}
         assert "p8" not in peers and "p9" not in peers
 
     def test_forward_reads_only_the_down_set_passed(self):
         fab, _, _, _, _ = build_golden()
-        fab.forward("S", "g", None, {Link("S", "p1")})
+        fab.forward("S", "g", 0, {Link("S", "p1")})
         # an earlier call's down set leaves nothing behind
-        out, _ = fab.forward("S", "g", None, set())
-        assert out == [("p1", None)]
+        out, _ = fab.forward("S", "g", 0, set())
+        assert out == [("p1", 0)]
         assert fab.dump() == GOLDEN_STAR_DUMP
 
     def test_consulted_links_are_the_watch_ports_checked(self):
         fab, _, _, _, _ = build_golden()
         seen = set()
-        fab.forward("S", "g", None, set(), seen)
+        fab.forward("S", "g", 0, set(), seen)
         # each group stops at its first live watch port, p1
         assert seen == {Link("S", "p1")}
         seen.clear()
-        fab.forward("S", "g", None, {Link("S", "p1"), Link("S", "p2")}, seen)
+        fab.forward("S", "g", 0, {Link("S", "p1"), Link("S", "p2")}, seen)
         assert seen == {Link("S", p) for p in ("p1", "p2", "p7", "p8", "p9")}
         # a copy run alone reads its inherited (Drop) watch ports too
-        fab.switches["S"].flows[("g", None)] = Flow({("S", "p8"): 2})
+        fab.switches["S"].flows[("g", 0)] = Flow({("S", "p8"): 2})
         seen.clear()
-        out, _ = fab.forward("S", "g", None, {Link("S", "p1")}, seen)
+        out, _ = fab.forward("S", "g", 0, {Link("S", "p1")}, seen)
         assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
-        fab.switches["S"].flows[("g", None)] = Flow({("S", "p1"): 9})
+        fab.switches["S"].flows[("g", 0)] = Flow({("S", "p1"): 9})
         with pytest.raises(DataplaneError):
-            fab.forward("S", "g", None, set())
+            fab.forward("S", "g", 0, set())
 
 
 class TestForwardQuirks:
@@ -139,13 +139,13 @@ class TestForwardQuirks:
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
         inst.ensure_base("S")
-        out, matched = fab.forward("S", "g", None, set())
+        out, matched = fab.forward("S", "g", 0, set())
         assert matched and out == []  # drop entry holds the fort
         inst.compile_path(_Tree("S"), [("S", "p1")])
-        out, _ = fab.forward("S", "g", None, set())
-        assert out == [("p1", None)]
+        out, _ = fab.forward("S", "g", 0, set())
+        assert out == [("p1", 0)]
         inst.remove_edge(_Tree("S"), ("S", "p1"))
-        out, matched = fab.forward("S", "g", None, set())
+        out, matched = fab.forward("S", "g", 0, set())
         assert matched and out == []
 
     def test_unmatched_is_reported(self):
@@ -153,35 +153,28 @@ class TestForwardQuirks:
         out, matched = fab.forward("S", "g", 5, set())
         assert not matched and out == []
 
-    def test_host_port_always_live(self):
-        fab = SwitchFabric(star(2))
-        inst = FlowInstaller(fab, "g")
-        inst.compile_path(_Tree("S"), [("S", "p1")])
-        gid = inst._ensure_chain((0, ("S", "p1")))
-        inst.add_backup_bucket("S", gid, HOST, 1)
-        # with every link down, the bucket watching the host port still fires
-        out, _ = fab.forward("S", "g", None, set(fab.net.links))
-        assert out == [(HOST, 1)]
-
 
 class TestCompile:
     def test_record_layout(self):
         fab, _, _, _, _ = build_golden()
         link = lambda p: Link("S", p)
-        matched, hosts, wires, groups = fab.compile("S", "g", None)
-        assert matched and hosts == () and wires == ()
-        assert groups[0] == ((), ((link("p1"), "p1", None), (link("p2"), "p2", 1),
+        matched, terminal, wires, groups = fab.compile("S", "g", 0)
+        assert matched and not terminal and wires == ()
+        # each member stamps the tag it stores; the primary slot's is the flow's own
+        assert groups[0] == ((), ((link("p1"), "p1", 0), (link("p2"), "p2", 1),
                                   (link("p7"), "p7", 2), (link("p10"), "p10", 3)))
         assert groups[1] == ((link("p1"), link("p2")), ((link("p8"), "p8", 2), (link("p11"), "p11", 4)))
-        assert fab.compile("S", "g", 5) == (False, (), (), ())
+        assert fab.compile("S", "g", 5) == (False, False, (), ())
 
     def test_terminal_flows_deliver_untagged(self):
         fab = SwitchFabric(star(2))
         inst = FlowInstaller(fab, "g")
         inst.compile_path(_Tree("p1"), [], terminal="p1")
         inst.compile_path(_Tree("p1", tag=3), [], terminal="p1")
-        assert fab.compile("p1", "g", None) == (True, (None,), (), ())
-        assert fab.compile("p1", "g", 3) == (True, (None,), (), ())
+        assert fab.compile("p1", "g", 0) == (True, True, (), ())
+        assert fab.compile("p1", "g", 3) == (True, True, (), ())
+        # the host delivery pops the tag
+        assert fab.forward("p1", "g", 3, set()) == ([(HOST, 0)], True)
         dump = fab.dump()
         assert "match=(g,untagged) prio=0 actions=output:host" in dump
         assert "match=(g,3) prio=0 actions=pop,output:host" in dump
@@ -195,7 +188,7 @@ class TestCompile:
         link = lambda p: Link("S", p)
         assert fab.compile("S", "g", 4) == (
             True,
-            (None,),
+            True,
             ((link("p1"), "p1", 4), (link("p3"), "p3", 4)),
             (((), ((link("p2"), "p2", 4),)),),
         )
@@ -205,9 +198,9 @@ class TestCompile:
     def test_base_drop_only(self):
         fab = SwitchFabric(star(2))
         FlowInstaller(fab, "g").ensure_base("S")
-        assert fab.compile("S", "g", None) == (True, (), (), ())
-        assert fab.compile("S", "g", 1) == (False, (), (), ())
-        assert fab.compile("S", "h", None) == (False, (), (), ())
+        assert fab.compile("S", "g", 0) == (True, False, (), ())
+        assert fab.compile("S", "g", 1) == (False, False, (), ())
+        assert fab.compile("S", "h", 0) == (False, False, (), ())
         assert fab.dump() == "switch S\n  flow table=0 match=(g,untagged) prio=-1 actions=Drop\n"
 
     def test_installer_drops_each_key_it_changes(self):
@@ -225,7 +218,7 @@ class TestCompile:
             lambda: inst.remove_edge(backup, ("S", "p2")),
             lambda: inst.remove_terminal(tree, "p1"),
             lambda: inst.remove_edge(tree, ("S", "p1")),
-            lambda: inst.remove_base(),
+            lambda: inst.remove_base("S"),
         ]
         for step in steps:
             fill_view(fab, "g")

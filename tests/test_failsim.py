@@ -25,15 +25,15 @@ from tests.test_protection import triangle
 from tests.test_topology import rand_connected
 
 
-def replace_record(gs, switch, tag, hosts=(), wires=()):
+def replace_record(gs, switch, tag, terminal=False, wires=()):
     """Make gs's group do something else at (switch, tag): a hand-written
     record in the fabric's view, the level walks read.
 
-    hosts are the tags of the host deliveries, wires the (peer, outgoing tag)
-    of the static outputs.
+    terminal says whether the switch delivers to its host, wires are the
+    (peer, outgoing tag) of the static outputs.
     """
     wires = tuple((Link(switch, peer), peer, out_tag) for peer, out_tag in wires)
-    gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, hosts, wires, ())
+    gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, terminal, wires, ())
 
 
 def geant_f2_all_joined():
@@ -120,7 +120,7 @@ class TestSimulateDelivery:
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
         # A's flow points its edge to C at a group A does not have
-        gs.fabric.switches["A"].flows[(gs.installer.group_key, None)].children[("A", "C")] = 99
+        gs.fabric.switches["A"].flows[(gs.installer.group_key, 0)].children[("A", "C")] = 99
         gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
         with pytest.raises(DataplaneError):
             simulate_delivery(gs, [Link("A", "C")])
@@ -145,7 +145,7 @@ class TestSimulateDelivery:
         protect_join(gs, "B")
         assert not simulate_delivery(gs).loop_guard_tripped  # fills the view
         # sabotage: make B bounce the packet back to A forever
-        replace_record(gs, "B", None, wires=[("A", None)])
+        replace_record(gs, "B", 0, wires=[("A", 0)])
         rep = simulate_delivery(gs)
         assert rep.loop_guard_tripped
 
@@ -206,7 +206,11 @@ class TestVerifyTolerance:
     def test_duplicate_copies_fail(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
-        replace_record(gs, "C", None, hosts=(None, None))  # C delivers every primary copy twice
+        # A's record gains a second wire into C, beside its group's primary slot
+        group_key = gs.installer.group_key
+        matched, terminal, wires, groups = gs.fabric.compile("A", group_key, 0)
+        wires += ((Link("A", "C"), "C", 0),)
+        gs.fabric.view[(group_key, "A", 0)] = (matched, terminal, wires, groups)
         rep = assert_matches_brute_force(gs, 1)
         assert rep.duplicates == 3  # baseline, A-B down, B-C down
         assert not rep.unexcused and not rep.loop_guard_tripped
@@ -216,7 +220,7 @@ class TestVerifyTolerance:
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
         # B relays the backup copy and also hands it to its own host
-        replace_record(gs, "B", 1, hosts=(1,), wires=[("C", 1)])
+        replace_record(gs, "B", 1, terminal=True, wires=[("C", 1)])
         rep = assert_matches_brute_force(gs, 1)
         assert rep.stray == 1  # only A-C down takes the backup tree
         assert not rep.unexcused and not rep.ok

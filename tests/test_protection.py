@@ -94,7 +94,7 @@ class TestTags:
 
     def test_tag_space_boundary(self):
         gs = GroupState(triangle(), "A")
-        gs.primary.next_tag = MAX_TAG
+        gs.tags_allocated = MAX_TAG - 1
         assert gs.fresh_tag() == MAX_TAG
         with pytest.raises(TagSpaceExhausted):
             gs.fresh_tag()
@@ -207,7 +207,7 @@ class TestLeave:
         assert len(joined) == 45
         for v in others[:20]:
             protect_leave(gs, v)
-        alive = {t.tag for t in gs.all_trees()}
+        alive = {t.tag for t in all_trees(gs)}
         assert gs.unprotected == [e for e in joined if e[0] in alive and e[3] in gs.subscribers]
         assert 0 < len(gs.unprotected) < len(joined)
         for v in others[20:]:
@@ -345,9 +345,17 @@ class TestConfig:
     def test_tree_inventory(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 2))
         protect_join(gs, "C")
-        trees = gs.all_trees()
+        trees = all_trees(gs)
         assert trees[0] is gs.primary
         assert sorted(t.tag for t in trees) == sorted(range(gs.tags_allocated + 1))
+
+
+def all_trees(gs):
+    """Primary tree first, then backup trees in breadth-first order."""
+    out = [gs.primary]
+    for t in out:
+        out.extend(t.backup[edge] for edge in sorted(t.backup))
+    return out
 
 
 def check_installer_index(gs):
@@ -355,7 +363,7 @@ def check_installer_index(gs):
     group member is the (tag, edge) key of the tree edge its bucket carries."""
     inst = gs.installer
     switches = gs.fabric.switches
-    first_hops = {(t.tag, (t.root, c)) for t in gs.all_trees()[1:] for c in t.children.get(t.root, ())}
+    first_hops = {(t.tag, (t.root, c)) for t in all_trees(gs)[1:] for c in t.children.get(t.root, ())}
     assert set(inst._buckets) == first_hops
     referenced = set()  # (switch, gid) of every group the installer reaches
     for key, gid in inst._buckets.items():
@@ -379,7 +387,7 @@ def check_installer_index(gs):
             # the primary slot: the owner's own tree edge, and only there
             tag, edge = group.members[0]
             assert tag == group.owner_tag, (switch, gid)
-            flow = switches[switch].flows[(inst.group_key, tag or None)]
+            flow = switches[switch].flows[(inst.group_key, tag)]
             assert flow.children[edge] == gid, (switch, gid)
             backups = group.members[1:]
         for key in backups:

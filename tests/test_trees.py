@@ -105,8 +105,8 @@ class TestSptJoin:
     def test_matches_exact_rational_oracle(self):
         # reference: the rebuilt subgraph, tree links priced 1 - 1/(E + 1) exactly
         def reference(net, t, v):
-            eps = Fraction(1, t.edge_count() + 1)
-            links = t.tree_links()
+            eps = Fraction(1, len(t.parent) + 1)
+            links = {Link(p, c) for c, p in t.parent.items()}
             nodes = reference_path(net, t.root, v, lambda a, b: 1 - eps if Link(a, b) in links else 1)
             if nodes is None:
                 return None
@@ -248,6 +248,6 @@ class TestTreeQueries:
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B"), ("B", "C")])
         apply_path(t, [("A", "D")])
-        assert t.edge_count() == 3
-        assert t.out_degree("A") == 2
-        assert sorted(str(l) for l in t.tree_links()) == ["A-B", "A-D", "B-C"]
+        assert len(t.parent) == 3
+        assert t.children["A"] == {"B", "D"}
+        assert sorted(f"{p}-{c}" for c, p in t.parent.items()) == ["A-B", "A-D", "B-C"]
