@@ -24,7 +24,6 @@ from .failsim import (
 from .harness import (
     GeoreplayResult,
     Scenario,
-    capacity_check,
     georeplay,
     load_scenario,
     run_scenario,
@@ -55,7 +54,6 @@ __all__ = [
     "TopologyError",
     "apply_path",
     "bfs_distances",
-    "capacity_check",
     "complete_graph",
     "depth_hopcounts",
     "dst_join",

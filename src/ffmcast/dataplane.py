@@ -15,12 +15,14 @@ SwitchFabric.compile is the one reader of that state for forwarding. It
 flattens what a packet of one group does at one (switch, tag) into a record
 of plain tuples: whether it matched, whether it delivers to the host, its
 static wires, and its fast-failover groups as watch links in failover
-order. Walks read records from the fabric's `view`, keyed by (group_key,
-switch, tag) and filled on first use; it persists across walks and sweeps. The installer
-drops exactly the key of each (switch, tag) it changes, so the view never
-goes stale. Code that edits flows or groups by hand must clear the view (or
-pop the keys it touched) afterwards; a test may instead write a record into
-the view directly, which is what walks read.
+order. A link in a record is its bit in the network (Network.bit), which a
+walk tests against the mask of its failure set. Walks read records from
+the fabric's `view`, keyed by (group_key, switch, tag) and filled on first
+use; it persists across walks and sweeps. The installer drops exactly the
+key of each (switch, tag) it changes, so the view never goes stale. Code
+that edits flows or groups by hand must clear the view (or pop the keys it
+touched) afterwards; a test may instead write a record into the view
+directly, which is what walks read.
 
 A fast-failover group is an ordered bucket list where the first bucket with a
 live watch port wins. Each bucket is named by the tree edge it carries,
@@ -36,7 +38,7 @@ copies as well. Copies are reached only through that flow.
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DataplaneError
@@ -97,10 +99,10 @@ class SwitchState:
         return len(self.base) + sum(flow.table_count() for flow in self.flows.values())
 
 
-# (link, peer switch, outgoing tag) of a static wire or a failover member
-Wire = tuple[Link, str, int]
-# (links of the inherited Drop buckets, members in failover order)
-FFGroup = tuple[tuple[Link, ...], tuple[Wire, ...]]
+# (link bit, peer switch, outgoing tag) of a static wire or a failover member
+Wire = tuple[int, str, int]
+# (link bits of the inherited Drop buckets, members in failover order)
+FFGroup = tuple[tuple[int, ...], tuple[Wire, ...]]
 # (matched, delivers to the host, static wires, groups)
 Record = tuple[bool, bool, tuple[Wire, ...], tuple[FFGroup, ...]]
 
@@ -131,12 +133,13 @@ class SwitchFabric:
         flow = sw.flows.get((group_key, tag))
         if flow is None:
             return tag == 0 and group_key in sw.base, False, (), ()
+        bit = self.net.bit
         wires: list[Wire] = []
         groups: list[FFGroup] = []
         for edge in sorted(flow.children):
             gid = flow.children[edge]
             if gid == PLAIN:
-                wires.append((Link(*edge), edge[1], tag))
+                wires.append((bit[edge], edge[1], tag))
                 continue
             group = sw.groups.get(gid)
             if group is None:
@@ -145,19 +148,14 @@ class SwitchFabric:
             groups.extend(self._compile_group(sw.groups[c]) for c in group.copies)
         return True, flow.terminal, tuple(wires), tuple(groups)
 
-    @staticmethod
-    def _compile_group(group: ChainGroup) -> FFGroup:
-        drops = tuple([Link(*edge) for edge in group.drop_watch])
-        members = tuple([(Link(*edge), edge[1], m_tag) for m_tag, edge in group.members])
+    def _compile_group(self, group: ChainGroup) -> FFGroup:
+        bit = self.net.bit
+        drops = tuple([bit[edge] for edge in group.drop_watch])
+        members = tuple([(bit[edge], edge[1], m_tag) for m_tag, edge in group.members])
         return drops, members
 
     def forward(
-        self,
-        switch: str,
-        group_key: str,
-        tag: int,
-        down: Set[Link],
-        consulted: set[Link] | None = None,
+        self, switch: str, group_key: str, tag: int, down: Iterable[Link]
     ) -> tuple[list[tuple[str, int]], bool]:
         """Run one packet through a switch with the given links down; returns
         (emissions, matched).
@@ -165,25 +163,20 @@ class SwitchFabric:
         Each emission is (peer, outgoing tag), with (HOST, 0) for the host
         delivery, which pops the tag: the live member of each group (an
         inherited Drop bucket that is live consumes the packet), then the
-        static wires, then the host delivery. When `consulted` is a set, the
-        link of every watch port a group checked is added to it: the result
-        is the same for any down set that agrees with `down` on those links.
-        Reads a fresh compile(), never the view.
+        static wires, then the host delivery. A link outside the network
+        raises TopologyError. Reads a fresh compile(), never the view.
         """
+        down = self.net.mask(down)
         matched, terminal, wires, groups = self.compile(switch, group_key, tag)
         emissions: list[tuple[str, int]] = []
         for drops, members in groups:
             # first live bucket wins; a live inherited Drop bucket consumes the packet
-            for link in drops:
-                if consulted is not None:
-                    consulted.add(link)
-                if link not in down:
+            for b in drops:
+                if not b & down:
                     break
             else:
-                for link, peer, out_tag in members:
-                    if consulted is not None:
-                        consulted.add(link)
-                    if link not in down:
+                for b, peer, out_tag in members:
+                    if not b & down:
                         emissions.append((peer, out_tag))
                         break
         emissions.extend((peer, out_tag) for _, peer, out_tag in wires)

@@ -1,12 +1,14 @@
 """Failure injection against the compiled dataplane.
 
 simulate_delivery pushes one packet from the source through the emulated
-switches with a chosen set of links down and reports who got it; it can also
-report which links' state it read. verify_tolerance sweeps every failure set
-up to the configured budget, walking one packet per class of sets that
-forward alike, and flags subscribers that should have been reachable (per
-the installed backup trees) but were not. A failure set is always the
-caller's input: neither the fabric nor a DeliveryReport stores it.
+switches with a chosen set of links down and reports who got it and which
+links' state it read. verify_tolerance sweeps every failure set up to the
+configured budget, walking one packet per class of sets that forward alike,
+and flags subscribers that should have been reachable (per the installed
+backup trees) but were not. A failure set is always the caller's input:
+neither the fabric nor a DeliveryReport stores it; inside, it is a mask of
+the network's link bits (Network.bit), from the compiled records through the
+walk to the sweep.
 depth_hopcounts measures path stretch per failover depth, and the recovery
 models turn an outage window into lost packets.
 """
@@ -43,33 +45,31 @@ class DeliveryReport:
     unmatched: int  # packets no flow entry wanted
     stray: int  # host deliveries at switches without a subscriber
     loop_guard_tripped: bool = False
+    read: int = 0  # mask of the links whose state the walk read
 
     @property
     def all_delivered(self) -> bool:
         return all(o.delivered for o in self.outcomes.values())
 
 
-def simulate_delivery(
-    gs: GroupState,
-    failed: Iterable[Link] = (),
-    consulted: set[Link] | None = None,
-) -> DeliveryReport:
+def simulate_delivery(gs: GroupState, failed: Iterable[Link] = ()) -> DeliveryReport:
     """Forward one packet from the source with the given links down.
 
     The packet starts untagged (tag 0) at the source. The walk reads the
     fabric's compiled records (SwitchFabric.compile, cached in
     `gs.fabric.view`) and the `failed` links only; the report does not
-    restate them. A terminal record hands one copy to the switch's host,
-    wires keep the packet's tag and a group's first live member stamps its
-    own. When `consulted` is a set, every link whose state the walk read is
-    added to it: the watch ports of the groups that ran and the wires of the
-    outputs taken. Any failure set that agrees with `failed` on those links
-    gives the same walk, and an equal report.
+    restate them. A link outside the network raises TopologyError. A
+    terminal record hands one copy to the switch's host, wires keep the
+    packet's tag and a group's first live member stamps its own. The
+    report's `read` is the mask of every link whose state the walk read:
+    the watch ports of the groups that ran and the wires of the outputs
+    taken. Any failure set that agrees with `failed` on those links gives
+    the same walk, and an equal report.
     """
     fabric = gs.fabric
     view = fabric.view
-    down = frozenset(failed)
-    seen = consulted if consulted is not None else set()
+    down = gs.net.mask(failed)
+    seen = 0
     # generous: one traversal of the topology per failover depth
     max_hops = (gs.config.max_failures + 1) * max(len(gs.net.links), 1) + 2
     group_key = gs.installer.group_key
@@ -90,9 +90,9 @@ def simulate_delivery(
         if terminal:
             arrived.setdefault(switch, []).append(hops)
         nxt = hops + 1
-        for link, peer, out_tag in wires:
-            seen.add(link)
-            if link in down:
+        for b, peer, out_tag in wires:
+            seen |= b
+            if b & down:
                 continue  # plain outputs do not watch liveness; the wire eats it
             if nxt > max_hops:
                 tripped = True
@@ -100,14 +100,14 @@ def simulate_delivery(
             queue.append((peer, out_tag, nxt))
         for drops, members in groups:
             # first live bucket wins; a live inherited Drop bucket consumes the packet
-            for link in drops:
-                seen.add(link)
-                if link not in down:
+            for b in drops:
+                seen |= b
+                if not b & down:
                     break
             else:
-                for link, peer, out_tag in members:
-                    seen.add(link)
-                    if link in down:
+                for b, peer, out_tag in members:
+                    seen |= b
+                    if b & down:
                         continue
                     if nxt > max_hops:
                         tripped = True
@@ -120,7 +120,7 @@ def simulate_delivery(
         # the queue is FIFO and every hop adds one, so the first copy is the nearest
         outcomes[v] = _delivery((v, True, hits[0], len(hits)) if hits else (v, False, None, 0))
     stray = sum(len(hits) for hits in arrived.values())
-    return DeliveryReport(outcomes, unmatched, stray, tripped)
+    return DeliveryReport(outcomes, unmatched, stray, tripped, seen)
 
 
 # tolerance sweep ---------------------------------------------------
@@ -153,17 +153,20 @@ class ToleranceReport:
 
 
 def expected_deliverable(gs: GroupState, v: str, failed: Iterable[Link]) -> bool:
-    """Whether the installed trees structurally cover v for this failure set."""
-    return _covered(gs.primary, v, frozenset(failed))
+    """Whether the installed trees structurally cover v for this failure set.
+
+    A link outside the network raises TopologyError.
+    """
+    return _covered(gs.primary, v, gs.net.mask(failed), gs.net.bit)
 
 
-def _covered(tree: MulticastTree, v: str, failed: frozenset[Link]) -> bool:
+def _covered(tree: MulticastTree, v: str, down: int, bit: dict[tuple[str, str], int]) -> bool:
     if v not in tree.terminals:
         return False
-    for x, y in tree.path_to(v):
-        if Link(x, y) in failed:
-            b = tree.backup.get((x, y))
-            return b is not None and _covered(b, v, failed)
+    for edge in tree.path_to(v):
+        if bit[edge] & down:
+            b = tree.backup.get(edge)
+            return b is not None and _covered(b, v, down, bit)
     return True
 
 
@@ -182,7 +185,9 @@ def verify_tolerance(
     result too.
 
     Sets are taken in `combinations` order over the sorted links, after the
-    baseline (no link down). `on_case(failed, report)` is called once per
+    baseline (no link down). A set is a mask of the network's link bits,
+    and bit i is link i of sorted(gs.net.links) (Network.bit), which is how
+    a mask decodes back to links. `on_case(failed, report)` is called once per
     set with the set and the DeliveryReport of its core. Sets with the same
     core share that report object, so the callback must treat it as
     read-only. Only cores are walked: a walk under T reads the state of the
@@ -202,11 +207,10 @@ def verify_tolerance(
     total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
     if max_sets is not None and total > max_sets:
         raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")
-    bit = {link: 1 << i for i, link in enumerate(links)}
     report = ToleranceReport()
     counted = bool(gs.primary.terminals)  # an empty group's packet is unmatched by design
     interned: dict[Delivery, Delivery] = {}
-    # mask -> (links consulted, report, duplicates, subscribers missed)
+    # mask -> (links read, report, duplicates, subscribers missed)
     memo: dict[int, tuple[int, DeliveryReport, int, tuple[str, ...]]] = {}
 
     def walk(mask: int) -> tuple[int, DeliveryReport, int, tuple[str, ...]]:
@@ -220,16 +224,12 @@ def verify_tolerance(
             low = rest & -rest
             down.append(links[low.bit_length() - 1])
             rest ^= low
-        consulted: set[Link] = set()
-        rep = simulate_delivery(gs, down, consulted=consulted)
+        rep = simulate_delivery(gs, down)
         report.walks += 1
-        seen = 0
-        for link in consulted:
-            seen |= bit.get(link, 0)
         outcomes = rep.outcomes
         dups = sum(1 for o in outcomes.values() if o.copies > 1)
         missed = tuple(v for v, o in outcomes.items() if not o.delivered)
-        entry = (seen, rep, dups, missed)
+        entry = (rep.read, rep, dups, missed)
         if mask.bit_count() < max_failures:
             for v, d in outcomes.items():
                 outcomes[v] = interned.setdefault(d, d)
@@ -251,9 +251,7 @@ def verify_tolerance(
     tally(baseline, dups)
     for k in range(1, max_failures + 1):
         for combo in combinations(links, k):
-            failed = 0
-            for link in combo:
-                failed |= bit[link]
+            failed = gs.net.mask(combo)
             core = 0
             while True:
                 seen, rep, dups, missed = walk(core)

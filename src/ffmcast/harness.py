@@ -209,9 +209,10 @@ def georeplay(
             protect_join(gs, v)
         depths.append(tuple(depth_hopcounts(gs)))
         tags.append(gs.tags_allocated)
+        per_switch = gs.fabric.group_counts().values()
         flows.append(gs.fabric.total_flows())
-        groups.append(gs.fabric.total_groups())
-        max_groups.append(max(gs.fabric.group_counts().values(), default=0))
+        groups.append(sum(per_switch))
+        max_groups.append(max(per_switch, default=0))
         calls.append(gs.join_calls)
     mean = tuple(sum(col) / len(col) for col in zip(*depths))
     return GeoreplayResult(
@@ -229,25 +230,6 @@ def georeplay(
         max_groups_per_switch=tuple(max_groups),
         join_calls=tuple(calls),
     )
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    limit: int
-    worst: int
-    over: tuple[tuple[str, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.over
-
-
-def capacity_check(gs: GroupState, limit: int = 32) -> CapacityReport:
-    """Compare per-switch group usage against a hardware table limit."""
-    counts = gs.fabric.group_counts()
-    worst = max(counts.values(), default=0)
-    over = tuple((n, c) for n, c in sorted(counts.items()) if c > limit)
-    return CapacityReport(limit, worst, over)
 
 
 # CSV ---------------------------------------------------------------

@@ -49,6 +49,9 @@ class Network:
     """Immutable undirected graph with sorted adjacency.
 
     HOST names every switch's host port, so no node may take that name.
+    A set of links is an int mask: bit[link] is 1 << i for the link's
+    position i in sorted(links), keyed under both orientations so a directed
+    tree edge (a, b) finds its link directly; mask() encodes a set.
     """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):
@@ -65,6 +68,9 @@ class Network:
                     raise TopologyError(f"link {link} references unknown node {end!r}")
             normalized.add(link)
         self.links: frozenset[Link] = frozenset(normalized)
+        self.bit: dict[tuple[str, str], int] = {}
+        for i, link in enumerate(sorted(normalized)):
+            self.bit[link] = self.bit[link.b, link.a] = 1 << i
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
         for link in normalized:
             adj[link.a].append(link.b)
@@ -73,6 +79,17 @@ class Network:
 
     def __contains__(self, node: str) -> bool:
         return node in self._node_set
+
+    def mask(self, links: Iterable[tuple[str, str]]) -> int:
+        """The bits of the given links, in either orientation; unknown links raise."""
+        bit = self.bit
+        mask = 0
+        for link in links:
+            b = bit.get(link)
+            if b is None:
+                raise TopologyError(f"link {'-'.join(map(str, link))} is not in the network")
+            mask |= b
+        return mask
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         try:

@@ -1,7 +1,7 @@
 import pytest
 
 from ffmcast.dataplane import PLAIN, Flow, FlowInstaller, SwitchFabric
-from ffmcast.errors import DataplaneError
+from ffmcast.errors import DataplaneError, TopologyError
 from ffmcast.topology import HOST, Link, load_topology
 
 GOLDEN_STAR_DUMP = """\
@@ -113,19 +113,21 @@ class TestChainGroups:
         assert fab.dump() == GOLDEN_STAR_DUMP
 
     def test_consulted_links_are_the_watch_ports_checked(self):
+        # links past each group's first live watch port cannot change the output
         fab, _, _, _, _ = build_golden()
-        seen = set()
-        fab.forward("S", "g", 0, set(), seen)
-        # each group stops at its first live watch port, p1
-        assert seen == {Link("S", "p1")}
-        seen.clear()
-        fab.forward("S", "g", 0, {Link("S", "p1"), Link("S", "p2")}, seen)
-        assert seen == {Link("S", p) for p in ("p1", "p2", "p7", "p8", "p9")}
-        # a copy run alone reads its inherited (Drop) watch ports too
+        down = lambda *ps: {Link("S", p) for p in ps}
+        later = ("p7", "p8", "p9", "p10", "p11", "p12")
+        assert fab.forward("S", "g", 0, down("p2", *later)) == fab.forward("S", "g", 0, set())
+        assert (fab.forward("S", "g", 0, down("p1", "p2", "p10", "p11", "p12"))
+                == fab.forward("S", "g", 0, down("p1", "p2")))
+        # a copy run alone stops at its first live inherited (Drop) watch port
         fab.switches["S"].flows[("g", 0)] = Flow({("S", "p8"): 2})
-        seen.clear()
-        out, _ = fab.forward("S", "g", 0, {Link("S", "p1")}, seen)
-        assert out == [] and seen == {Link("S", "p1"), Link("S", "p2")}
+        assert fab.forward("S", "g", 0, down("p1", "p8", "p11")) == ([], True)
+
+    def test_unknown_link_in_down_set(self):
+        fab, _, _, _, _ = build_golden()
+        with pytest.raises(TopologyError, match="p1-p2 is not in the network"):
+            fab.forward("S", "g", 0, {("p1", "p2")})
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
@@ -157,7 +159,7 @@ class TestForwardQuirks:
 class TestCompile:
     def test_record_layout(self):
         fab, _, _, _, _ = build_golden()
-        link = lambda p: Link("S", p)
+        link = lambda p: fab.net.bit["S", p]
         matched, terminal, wires, groups = fab.compile("S", "g", 0)
         assert matched and not terminal and wires == ()
         # each member stamps the tag it stores; the primary slot's is the flow's own
@@ -185,7 +187,7 @@ class TestCompile:
         tree = _Tree("p1", tag=4)  # S is a transit switch of backup tree 4
         inst.compile_path(tree, [("S", "p3"), ("S", "p1"), ("S", "p2")], terminal="S")
         gid = inst._ensure_chain((4, ("S", "p2")))
-        link = lambda p: Link("S", p)
+        link = lambda p: fab.net.bit["S", p]
         assert fab.compile("S", "g", 4) == (
             True,
             True,

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from ffmcast.dataplane import SwitchFabric
-from ffmcast.errors import BudgetExceeded, DataplaneError
+from ffmcast.errors import BudgetExceeded, DataplaneError, TopologyError
 from ffmcast.failsim import (
     FailureCase,
     RecoveryModel,
@@ -32,7 +32,7 @@ def replace_record(gs, switch, tag, terminal=False, wires=()):
     terminal says whether the switch delivers to its host, wires are the
     (peer, outgoing tag) of the static outputs.
     """
-    wires = tuple((Link(switch, peer), peer, out_tag) for peer, out_tag in wires)
+    wires = tuple((gs.net.bit[switch, peer], peer, out_tag) for peer, out_tag in wires)
     gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, terminal, wires, ())
 
 
@@ -128,12 +128,23 @@ class TestSimulateDelivery:
     def test_consulted_links_decide_the_walk(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
         protect_join(gs, "b")
-        seen = set()
-        rep = simulate_delivery(gs, [Link("r", "a")], consulted=seen)
+        rep = simulate_delivery(gs, [Link("r", "a")])
         # r's group watched r-a, then forwarded to c over r-c, then c-b
-        assert seen == {Link("r", "a"), Link("r", "c"), Link("b", "c")}
-        # a link outside the consulted set cannot change the outcome
+        assert rep.read == gs.net.mask([Link("r", "a"), Link("r", "c"), Link("b", "c")])
+        # a link outside the read set cannot change the outcome
         assert simulate_delivery(gs, [Link("r", "a"), Link("a", "b")]) == rep
+
+    def test_unknown_link_is_an_error(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "B")
+        protect_join(gs, "C")
+        for failed in ([Link("A", "Z")], [("A", "Z")], [Link("A", "B"), ("C", "Q")]):
+            with pytest.raises(TopologyError, match="is not in the network"):
+                simulate_delivery(gs, failed)
+            with pytest.raises(TopologyError, match="is not in the network"):
+                expected_deliverable(gs, "B", failed)
+        # a plain tuple names its link in either orientation
+        assert simulate_delivery(gs, [("B", "A")]) == simulate_delivery(gs, [Link("A", "B")])
 
     def test_no_subscribers_no_deliveries(self):
         gs = GroupState(triangle(), "A")
@@ -209,7 +220,7 @@ class TestVerifyTolerance:
         # A's record gains a second wire into C, beside its group's primary slot
         group_key = gs.installer.group_key
         matched, terminal, wires, groups = gs.fabric.compile("A", group_key, 0)
-        wires += ((Link("A", "C"), "C", 0),)
+        wires += ((gs.net.bit["A", "C"], "C", 0),)
         gs.fabric.view[(group_key, "A", 0)] = (matched, terminal, wires, groups)
         rep = assert_matches_brute_force(gs, 1)
         assert rep.duplicates == 3  # baseline, A-B down, B-C down

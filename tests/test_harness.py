@@ -5,7 +5,6 @@ import pytest
 from ffmcast.errors import TopologyError
 from ffmcast.harness import (
     Scenario,
-    capacity_check,
     delivery_rows,
     georeplay,
     load_scenario,
@@ -165,25 +164,6 @@ class TestGeoreplay:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             georeplay("torus", "spt", 1)
-
-
-class TestCapacity:
-    def test_under_limit(self):
-        net = complete_graph(5)
-        gs = GroupState(net, "n4", ProtectionConfig("spt", 1))
-        for v in net.nodes[:-1]:
-            protect_join(gs, v)
-        rep = capacity_check(gs, limit=32)
-        assert rep.ok and rep.worst == 4
-
-    def test_over_limit_names_switches(self):
-        net = complete_graph(5)
-        gs = GroupState(net, "n4", ProtectionConfig("spt", 1))
-        for v in net.nodes[:-1]:
-            protect_join(gs, v)
-        rep = capacity_check(gs, limit=3)
-        assert not rep.ok
-        assert rep.over == (("n4", 4),)
 
 
 class TestCsv:

@@ -93,6 +93,30 @@ class TestLink:
         assert sorted(links) == sorted(links, key=lambda l: (l.a, l.b))
 
 
+class TestLinkBits:
+    def test_bits_follow_sorted_links_and_decode(self):
+        rng = random.Random(11)
+        for net in (geant(), complete_graph(6), rand_connected(rng, 9)):
+            links = sorted(net.links)
+            assert len(net.bit) == 2 * len(links)
+            for i, link in enumerate(links):
+                assert net.bit[link] == net.bit[link.b, link.a] == 1 << i
+            # verify_tolerance decodes a mask low bit first, by index into sorted links
+            picked = rng.sample(links, 3)
+            rest, decoded = net.mask(picked), []
+            while rest:
+                low = rest & -rest
+                decoded.append(links[low.bit_length() - 1])
+                rest ^= low
+            assert decoded == sorted(picked)
+
+    def test_mask_rejects_links_outside_the_network(self):
+        net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"]]})
+        assert net.mask([("B", "A"), Link("C", "B")]) == 0b11
+        with pytest.raises(TopologyError, match="A-C is not in the network"):
+            net.mask([Link("A", "B"), ("A", "C")])
+
+
 class TestLoadTopology:
     def test_from_mapping(self):
         net = load_topology({"nodes": ["A", "B"], "links": [["A", "B"]]})
