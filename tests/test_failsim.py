@@ -19,21 +19,29 @@ from ffmcast.failsim import (
     simulate_recovery,
     verify_tolerance,
 )
-from ffmcast.protection import GroupState, ProtectionConfig, protect_join
+from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import Link, complete_graph, geant, load_topology
 from tests.test_protection import triangle
 from tests.test_topology import rand_connected
 
 
-def replace_record(gs, switch, tag, terminal=False, wires=()):
+def replace_record(gs, switch, tag, terminal=False, wires=(), groups=()):
     """Make gs's group do something else at (switch, tag): a hand-written
     record in the fabric's view, the level walks read.
 
     terminal says whether the switch delivers to its host, wires are the
-    (peer, outgoing tag) of the static outputs.
+    (peer, outgoing tag) of the static outputs, and groups are FF groups
+    as (links their Drop buckets watch, (peer, outgoing tag) members in
+    failover order).
     """
-    wires = tuple((gs.net.bit[switch, peer], peer, out_tag) for peer, out_tag in wires)
-    gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, terminal, wires, ())
+    bit = gs.net.bit
+    wires = tuple((bit[switch, peer], peer, out_tag) for peer, out_tag in wires)
+    groups = tuple(
+        (tuple(bit[link] for link in drops),
+         tuple((bit[switch, peer], peer, out_tag) for peer, out_tag in members))
+        for drops, members in groups
+    )
+    gs.fabric.view[(gs.installer.group_key, switch, tag)] = (True, terminal, wires, groups)
 
 
 def geant_f2_all_joined():
@@ -244,6 +252,15 @@ class TestVerifyTolerance:
         assert rep.unmatched == 1
         assert not rep.ok
 
+    def test_unmatched_copy_goes_with_its_link(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        # A also sends a copy to B on a tag B has no entry for
+        replace_record(gs, "A", 0, wires=[("B", 7), ("C", 0)])
+        rep = assert_matches_brute_force(gs, 1)
+        assert rep.unmatched == 3  # every set but A-B down
+        assert not rep.ok
+
     def test_empty_group_packet_is_not_unmatched(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         assert simulate_delivery(gs).unmatched == 1
@@ -278,7 +295,7 @@ class TestSweepRunsInC:
         finally:
             sys.setprofile(None)
         assert again == first and again.ok
-        assert seen["simulate_delivery"] == again.walks > 0
+        assert seen["_walk"] == again.walks > 0
         assert seen["compile"] == 0
         assert {n: seen[n] for n in ("__hash__", "__eq__", "is_host", "link") if seen[n]} == {}
 
@@ -331,6 +348,79 @@ class TestVerifyMatchesBruteForce:
         rep = assert_matches_brute_force(gs, 2)
         assert rep.loop_guard_tripped and rep.baseline_ok
         assert not rep.ok
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_churn(self, seed, strategy):
+        # leaves prune trees and repack groups, so walks resume over the
+        # state that churn leaves behind, not just a fresh build
+        rng = random.Random(seed)
+        net = rand_connected(rng, rng.randint(8, 13))
+        budget = 1 + seed % 3
+        source = rng.choice(net.nodes)
+        gs = GroupState(net, source, ProtectionConfig(strategy, budget))
+        members = [v for v in net.nodes if v != source]
+        rng.shuffle(members)
+        for v in members:
+            protect_join(gs, v)
+        for v in members[: len(members) // 3]:
+            protect_leave(gs, v)
+        assert_matches_brute_force(gs, budget)
+
+    def test_dead_drop_bucket_lets_a_silent_group_emit(self):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        # r fails over from a to c (on a tag no installed tree uses); c's
+        # group holds a Drop bucket watching r-d, so with r-d up it consumes
+        # the packet, and only once r-d fails too does it fall through to
+        # its member towards b
+        replace_record(gs, "r", 0, groups=[((), [("a", 0), ("c", 8)])])
+        replace_record(gs, "c", 8, groups=[([("r", "d")], [("b", 8)])])
+        replace_record(gs, "b", 8, terminal=True)
+        reports = {}
+        verify_tolerance(gs, on_case=lambda failed, rep: reports.setdefault(failed, rep))
+        assert not reports[(Link("a", "r"),)].outcomes["b"].delivered
+        both = reports[(Link("a", "r"), Link("d", "r"))].outcomes["b"]
+        assert both.delivered and both.hops == 2
+        rep = assert_matches_brute_force(gs, 2)
+        assert rep.unexcused and not rep.ok
+
+    def test_loop_guard_trip_two_failures_deep(self):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 3))
+        protect_join(gs, "b")
+        # r fails over a -> c -> d, on tags no installed tree uses; only with
+        # r-a and r-c both down does the packet reach d, which bounces it
+        # with b forever
+        replace_record(gs, "r", 0, groups=[((), [("a", 0), ("c", 8), ("d", 9)])])
+        replace_record(gs, "c", 8, wires=[("b", 8)])
+        replace_record(gs, "b", 8, terminal=True)
+        replace_record(gs, "d", 9, wires=[("b", 9)])
+        replace_record(gs, "b", 9, wires=[("d", 9)])
+        tripped = set()
+        verify_tolerance(gs, on_case=lambda failed, rep: rep.loop_guard_tripped and tripped.add(failed))
+        ra, rc, bd = Link("a", "r"), Link("c", "r"), Link("b", "d")
+        assert (ra, rc) in tripped
+        assert all(len(failed) > 1 for failed in tripped)
+        # failing the loop's own link as well drops every copy the guard cut
+        assert (ra, bd, rc) not in tripped
+        rep = assert_matches_brute_force(gs, 3)
+        assert rep.loop_guard_tripped and rep.baseline_ok
+
+    def test_duplicates_lose_one_copy(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        # C gets one copy straight from A and one through B, one hop later
+        replace_record(gs, "A", 0, wires=[("B", 0), ("C", 0)])
+        replace_record(gs, "B", 0, wires=[("C", 0)])
+        replace_record(gs, "C", 0, terminal=True)
+        reports = {}
+        rep = verify_tolerance(gs, on_case=lambda failed, rep: reports.setdefault(failed, rep))
+        assert reports[()].outcomes["C"] == ("C", True, 1, 2)
+        assert reports[(Link("A", "C"),)].outcomes["C"] == ("C", True, 2, 1)
+        assert reports[(Link("A", "B"),)].outcomes["C"] == ("C", True, 1, 1)
+        assert reports[(Link("B", "C"),)].outcomes["C"] == ("C", True, 1, 1)
+        assert rep.duplicates == 1  # the baseline only
+        assert_matches_brute_force(gs, 1)
 
 
 class TestExpectedDeliverable:
