@@ -352,7 +352,7 @@ class TestVerifyMatchesBruteForce:
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_churn(self, seed, strategy):
-        # leaves prune trees and repack groups, so walks resume over the
+        # leaves prune trees and shrink groups, so walks resume over the
         # state that churn leaves behind, not just a fresh build
         rng = random.Random(seed)
         net = rand_connected(rng, rng.randint(8, 13))
