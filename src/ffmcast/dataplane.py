@@ -50,7 +50,7 @@ PLAIN = "plain"
 
 @dataclass
 class ChainGroup:
-    """Fast-failover group holding one failover cascade.
+    """Fast-failover group holding one failover cascade, keyed by its gid in SwitchState.groups.
 
     members are the cascade's own buckets in failover order, each the
     (tree tag, directed edge) it carries: the bucket watches and outputs to
@@ -62,7 +62,6 @@ class ChainGroup:
     ports, Drop actions).
     """
 
-    gid: int
     owner_tag: int  # tree tag of the flow on this switch that references it
     drop_watch: list[tuple[str, str]] = field(default_factory=list)
     members: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
@@ -119,6 +118,7 @@ class SwitchFabric:
         self.net = net
         self.switches = {n: SwitchState() for n in net.nodes}
         self.view: dict[tuple[str, str, int], Record] = {}
+        self.group_keys: set[str] = set()  # of the groups it carries, one per source
 
     def compile(self, switch: str, group_key: str, tag: int) -> Record:
         """What a packet of the group with this tag does at the switch, for any
@@ -327,7 +327,7 @@ class FlowInstaller:
             return int(flow.children[edge])
         # promote a plain output to a fast-failover group
         gid = sw.alloc_gid()
-        sw.groups[gid] = ChainGroup(gid, tag, members=[parent_key])
+        sw.groups[gid] = ChainGroup(tag, members=[parent_key])
         flow.children[edge] = gid
         self._edited(switch, tag)
         return gid
@@ -356,7 +356,7 @@ class FlowInstaller:
         origin = sw.groups[origin_gid]
         copy_gid = sw.alloc_gid()
         prefix = group.drop_watch + [edge for _, edge in group.members[:first]]
-        sw.groups[copy_gid] = ChainGroup(copy_gid, origin.owner_tag, prefix, [key], origin=origin_gid)
+        sw.groups[copy_gid] = ChainGroup(origin.owner_tag, prefix, [key], origin=origin_gid)
         origin.copies.append(copy_gid)
         self._buckets[key] = copy_gid
         self._edited(switch, origin.owner_tag)
@@ -405,11 +405,11 @@ class FlowInstaller:
         if group.origin is not None and not group.members:
             # a copy with nothing left to send vanishes; its original may follow
             del sw.groups[gid]
-            group = sw.groups[group.origin]
-            group.copies.remove(gid)
+            sw.groups[group.origin].copies.remove(gid)
+            gid, group = group.origin, sw.groups[group.origin]
         if group.origin is None and len(group.members) == 1 and not group.copies:
             # only the primary slot remains: dissolve back to a plain output
             tag, edge = group.members[0]
-            del sw.groups[group.gid]
+            del sw.groups[gid]
             sw.flows[(self.group_key, tag)].children[edge] = PLAIN
         self._edited(switch, group.owner_tag)

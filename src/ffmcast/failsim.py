@@ -316,10 +316,10 @@ def verify_tolerance(
     kept copy reads under the core just what it read under the base, so the
     next core of the chain is found as before. Walks are memoised by link
     bitmask, each with its copies, its duplicate count and the subscribers
-    it missed, and the Delivery tuples they hold interned. Only sets smaller
-    than the budget are kept (a core as large as the budget is the one set
-    it stands for, and nothing resumes from it), so the memo holds at most
-    sum(comb(links, k) for k < budget) walks.
+    it missed; a resumed walk shares each Delivery it leaves alone with its
+    base. Only sets smaller than the budget are kept (a core as large as the
+    budget is the one set it stands for, and nothing resumes from it), so the
+    memo holds at most sum(comb(links, k) for k < budget) walks.
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
@@ -329,7 +329,6 @@ def verify_tolerance(
         raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")
     report = ToleranceReport()
     counted = bool(gs.primary.terminals)  # an empty group's packet is unmatched by design
-    interned: dict[Delivery, Delivery] = {}
     memo: dict[int, _Walk] = {}
 
     def walk(mask: int, base: _Walk | None) -> _Walk:
@@ -338,9 +337,6 @@ def verify_tolerance(
         w = _walk(gs, mask, base, keep)
         report.walks += 1
         if keep:
-            outcomes = w.report.outcomes
-            for v, d in outcomes.items():
-                outcomes[v] = interned.setdefault(d, d)
             memo[mask] = w
         return w
 
@@ -383,16 +379,14 @@ def verify_tolerance(
 # stretch per failover depth ----------------------------------------
 
 
-def depth_hopcounts(gs: GroupState, max_depth: int | None = None) -> list[float]:
-    """Mean delivery hops at each failover depth 0..max_depth.
+def depth_hopcounts(gs: GroupState) -> list[float]:
+    """Mean delivery hops at each failover depth 0..gs.config.max_failures.
 
     Depth k averages over every chain of k nested failures a subscriber is
     protected against: a link on its primary path, then a link on the backup
     path that covers it, and so on. Chains the trees do not cover are left
-    out. Raises when a covered chain fails to deliver.
+    out; a depth without one is NaN. Raises when a covered chain fails to deliver.
     """
-    if max_depth is None:
-        max_depth = gs.config.max_failures
     cache: dict[frozenset[Link], DeliveryReport] = {}
 
     def hops_for(v: str, failed: frozenset[Link]) -> int:
@@ -411,7 +405,7 @@ def depth_hopcounts(gs: GroupState, max_depth: int | None = None) -> list[float]
         for v in sorted(gs.primary.terminals)
     }
     means: list[float] = []
-    for depth in range(max_depth + 1):
+    for depth in range(gs.config.max_failures + 1):
         samples = [
             hops_for(v, chain)
             for v, covered in chains.items()

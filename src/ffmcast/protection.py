@@ -48,7 +48,13 @@ class GroupState:
         self.config = config or ProtectionConfig()
         self.primary = MulticastTree(root=source)
         self.fabric = fabric or SwitchFabric(net)
-        self.installer = FlowInstaller(self.fabric, f"mcast-{source}")
+        if self.fabric.net is not net:
+            raise ValueError("the fabric was built on another network")
+        key = f"mcast-{source}"
+        if key in self.fabric.group_keys:
+            raise ValueError(f"the fabric already carries a group from {source!r}")
+        self.fabric.group_keys.add(key)
+        self.installer = FlowInstaller(self.fabric, key)
         self.tags_allocated = 0  # backup tree tags drawn so far; the primary has tag 0
         self.join_calls = 0
 

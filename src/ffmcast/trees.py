@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import InvalidPathError, TopologyError
+from .errors import InvalidPathError
 from .topology import Link, Network, bfs_distances, shortest_path
 
 # A path is an ordered list of directed (parent, child) edges.
@@ -99,8 +99,6 @@ def spt_join(
     last node already in the tree, or None if v is already in the tree or
     unreachable.
     """
-    if v not in net:
-        raise TopologyError(f"unknown node {v!r}")
     if v in tree.nodes:
         return None
     nodes = shortest_path(net, tree.root, v, tree.parent, avoid)
@@ -123,8 +121,6 @@ def dst_join(
     path followed by a shortest w-to-v segment. Returns None if v is already
     in the tree or unreachable.
     """
-    if v not in net:
-        raise TopologyError(f"unknown node {v!r}")
     if v in tree.nodes:
         return None
     dist = bfs_distances(net, v, avoid)

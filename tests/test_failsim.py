@@ -20,7 +20,7 @@ from ffmcast.failsim import (
     verify_tolerance,
 )
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import Link, complete_graph, geant, load_topology
+from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
 from tests.test_protection import triangle
 from tests.test_topology import rand_connected
 
@@ -465,9 +465,10 @@ class TestDepthHopcounts:
         assert depth_hopcounts(gs) == [1.0, 2.0]
 
     def test_uncovered_depths_are_nan(self):
-        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 0))
-        protect_join(gs, "C")
-        depths = depth_hopcounts(gs, max_depth=1)
+        # a bridge has no backup, so no chain reaches depth 1
+        gs = GroupState(Network(["A", "B"], [("A", "B")]), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "B")
+        depths = depth_hopcounts(gs)
         assert depths[0] == 1.0
         assert math.isnan(depths[1])
 

@@ -57,6 +57,25 @@ class TestJoin:
         with pytest.raises(TopologyError):
             GroupState(triangle(), "Z")
 
+    def test_one_group_per_source_on_a_fabric(self):
+        # a second group from n0 would share the first one's flows, base drop and tags
+        net = complete_graph(5)
+        fabric = SwitchFabric(net)
+        first = GroupState(net, "n0", fabric=fabric)
+        with pytest.raises(ValueError, match="already carries a group from 'n0'"):
+            GroupState(net, "n0", fabric=fabric)
+        other = GroupState(net, "n2", fabric=fabric)
+        protect_join(first, "n1")
+        protect_join(other, "n3")
+        assert simulate_delivery(first).stray == 0
+        assert verify_tolerance(first).ok and verify_tolerance(other).ok
+
+    def test_fabric_of_another_network(self):
+        fabric = SwitchFabric(complete_graph(5))
+        with pytest.raises(ValueError, match="built on another network"):
+            GroupState(complete_graph(5), "n0", fabric=fabric)
+        assert not fabric.group_keys
+
     def test_unreachable_subscriber_rejected(self):
         net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"]]})
         gs = GroupState(net, "A")

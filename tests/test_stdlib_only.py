@@ -22,3 +22,24 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_every_import_is_used():
+    # a name a module imports but never reads is dead; an import kept on
+    # purpose carries "# noqa: F401" on one of its lines
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    dead = []
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            dead += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
+    assert dead == []

@@ -37,6 +37,11 @@ def grid(side):
     return load_topology({"nodes": nodes, "links": links})
 
 
+def neighbours(net, node):
+    """node's neighbours in name order, read from net.links alone."""
+    return sorted(link.b if link.a == node else link.a for link in net.links if node in link)
+
+
 def reference_path(net, src, dst, cost=None, avoid=frozenset()):
     """Cheapest src-to-dst path by Dijkstra over whole path tuples.
 
@@ -54,7 +59,7 @@ def reference_path(net, src, dst, cost=None, avoid=frozenset()):
         done.add(node)
         if node == dst:
             return list(path)
-        for nxt in net.neighbors(node):
+        for nxt in neighbours(net, node):
             if nxt not in done and Link(node, nxt) not in avoid:
                 step = 1 if cost is None else cost(node, nxt)
                 heapq.heappush(heap, (dist + step, path + (nxt,)))
@@ -134,7 +139,7 @@ class TestLoadTopology:
         assert len(net.links) == 1
 
     def test_unknown_endpoint(self):
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="link A-B references unknown node 'B'"):
             load_topology({"nodes": ["A"], "links": [["A", "B"]]})
 
     @pytest.mark.parametrize("pair", [["A", ["B"]], [["A"], "B"], ["A", {"B": 1}]])
@@ -163,11 +168,6 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="reserved for host ports"):
             Network(["s", "host", "x"], [("s", "x"), ("s", "host"), ("host", "x")])
 
-    def test_adjacency_sorted(self):
-        net = load_topology({"nodes": ["A", "C", "B"], "links": [["A", "C"], ["A", "B"]]})
-        assert net.neighbors("A") == ("B", "C")
-        assert net.neighbors("B") == ("A",)
-
 
 class TestPresets:
     def test_complete_8_link_count(self):
@@ -190,7 +190,7 @@ class TestPresets:
         net = geant()
         assert len(net.nodes) == 40
         assert len(net.links) == 65
-        assert set(net.neighbors("AT")) == {"CH", "CZ", "DE2", "GR", "HR", "HU", "IT", "SI", "SK"}
+        assert set(neighbours(net, "AT")) == {"CH", "CZ", "DE2", "GR", "HR", "HU", "IT", "SI", "SK"}
 
     def test_geant_survives_any_single_cut(self):
         net = geant()
@@ -300,7 +300,7 @@ class TestAvoid:
     def test_shortest_path_matches_subgraph(self):
         for rng, net, avoid, sub in self.cases():
             src = rng.choice(net.nodes)
-            prefer = {v: rng.choice(net.neighbors(v)) for v in net.nodes if rng.random() < 0.5}
+            prefer = {v: rng.choice(neighbours(net, v)) for v in net.nodes if rng.random() < 0.5}
             for dst in net.nodes:
                 assert shortest_path(net, src, dst, avoid=avoid) == shortest_path(sub, src, dst)
                 assert shortest_path(net, src, dst, prefer, avoid) == shortest_path(sub, src, dst, prefer)
