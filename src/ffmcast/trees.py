@@ -123,6 +123,7 @@ def dst_join(
     """
     if v in tree.nodes:
         return None
+    avoid = frozenset(avoid)
     dist = bfs_distances(net, v, avoid)
     best: tuple[int, str] | None = None
     for w in tree.nodes:

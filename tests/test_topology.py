@@ -287,6 +287,56 @@ class TestShortestPath:
         assert unreachable > 0
 
 
+class TestReachMemo:
+    """Searches that share one network's memoised reach give what a search
+    on a fresh copy of the network gives, whatever order they come in."""
+
+    def test_interleaved_searches_match_fresh_network_and_oracle(self):
+        rng = random.Random(23)
+        nets = [geant(), grid(12)]
+        nets += [rand_connected(rng, rng.randint(4, 20), rng.randint(0, 8)) for _ in range(12)]
+        checked = unreachable = 0
+        for net in nets:
+            links = sorted(net.links)
+            tree = MulticastTree(root=rng.choice(net.nodes))
+            for v in rng.sample(net.nodes, min(8, len(net.nodes))):
+                got = spt_join(net, tree, v)
+                if got:
+                    apply_path(tree, got)
+            cut = rng.choice(net.nodes)
+            avoids = [
+                frozenset(),
+                frozenset(rng.sample(links, rng.randint(1, min(3, len(links))))),
+                frozenset(l for l in links if cut in l),  # cut is unreachable
+            ]
+            queues = []
+            for src in {tree.root, rng.choice(net.nodes), rng.choice(net.nodes)}:
+                for avoid in avoids:
+                    dist = bfs_distances(net, src, avoid)
+                    near = sorted(rng.sample(sorted(dist), min(10, len(dist))), key=lambda v: (dist[v], v))
+                    lost = [v for v in net.nodes if v not in dist][:2]
+                    for prefer in (None, tree.parent):
+                        # near-then-far, or far-then-near; the unreachable
+                        # nodes once the reach is exhausted, then near again
+                        order = near if rng.random() < 0.5 else near[::-1]
+                        dsts = order + lost + lost + near[:2]
+                        queues.append([(src, dst, prefer, avoid) for dst in dsts])
+            while queues:
+                queue = rng.choice(queues)
+                src, dst, prefer, avoid = queue.pop(0)
+                if not queue:
+                    queues.remove(queue)
+                if rng.random() < 0.5:
+                    avoid = set(avoid)  # the memo keys by value
+                got = shortest_path(net, src, dst, prefer, avoid)
+                assert got == shortest_path(Network(net.nodes, net.links), src, dst, prefer, avoid)
+                cost = None if prefer is None else tree_cost(tree)
+                assert got == reference_path(net, src, dst, cost, avoid), (src, dst, prefer, avoid)
+                checked += 1
+                unreachable += got is None
+        assert unreachable > 0 and checked > 1000
+
+
 class TestAvoid:
     """Searching around an avoid set matches searching the rebuilt subgraph."""
 

@@ -5,6 +5,7 @@ import pytest
 
 from ffmcast import trees
 from ffmcast.errors import InvalidPathError
+from ffmcast.protection import GroupState, ProtectionConfig, protect_join
 from ffmcast.topology import (
     Link,
     bfs_distances,
@@ -13,7 +14,7 @@ from ffmcast.topology import (
     without_links,
 )
 from ffmcast.trees import MulticastTree, apply_path, dst_join, join, spt_join
-from tests.test_topology import rand_connected, reference_path
+from tests.test_topology import grid, rand_connected, reference_path
 
 
 def square():
@@ -230,12 +231,50 @@ class TestSearchCount:
         assert calls == []
 
 
+class TestReachMemo:
+    def test_memo_keys_are_the_searched_root_avoid_pairs(self, monkeypatch):
+        # a key that took in the prefer map or the tree would hold more entries
+        net = grid(12)
+        gs = GroupState(net, "g0000", ProtectionConfig("spt", 2))
+        searched = []
+        real = trees.shortest_path
+
+        def spy(net, src, dst, prefer=None, avoid=frozenset()):
+            searched.append((src, frozenset(avoid)))
+            return real(net, src, dst, prefer, avoid)
+
+        monkeypatch.setattr(trees, "shortest_path", spy)
+        order = [v for v in net.nodes if v != gs.source]
+        random.Random(7).shuffle(order)
+        for v in order[:20]:
+            assert protect_join(gs, v)
+        assert set(net._reach) == set(searched)
+        assert len(net._reach) < len(searched)
+
+
 class TestDispatch:
     def test_known_strategies(self):
         net = complete_graph(4)
         t = MulticastTree(root="n0")
         assert join(net, t, "n1", "spt") == [("n0", "n1")]
         assert join(net, t, "n1", "dst") == [("n0", "n1")]
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_avoid_may_be_any_iterable(self, strategy):
+        # dst reads avoid twice (nearest tree node, then the segment search)
+        for make in (iter, list, set):
+            got = join(square(), MulticastTree(root="A"), "C", strategy, make([Link("B", "C")]))
+            assert got == [("A", "D"), ("D", "C")], make
+        for seed in range(30):
+            rng = random.Random(seed)
+            net = rand_connected(rng, rng.randint(3, 14))
+            avoid = rng.sample(sorted(net.links), rng.randint(1, 3))
+            t = MulticastTree(root=rng.choice(net.nodes))
+            for v in rng.sample(net.nodes, len(net.nodes)):
+                got = [join(net, t, v, strategy, make(avoid)) for make in (iter, list, set)]
+                assert got[0] == got[1] == got[2], (seed, v)
+                if got[0]:
+                    apply_path(t, got[0])
 
     def test_unknown_strategy(self):
         net = complete_graph(4)
