@@ -323,6 +323,10 @@ def verify_tolerance(
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
+    if max_failures < 0:
+        raise ValueError("max_failures must be >= 0")
+    if max_sets is not None and max_sets < 0:
+        raise ValueError("max_sets must be >= 0")
     links = sorted(gs.net.links)
     total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
     if max_sets is not None and total > max_sets:
@@ -385,35 +389,24 @@ def depth_hopcounts(gs: GroupState) -> list[float]:
     Depth k averages over every chain of k nested failures a subscriber is
     protected against: a link on its primary path, then a link on the backup
     path that covers it, and so on. Chains the trees do not cover are left
-    out; a depth without one is NaN. Raises when a covered chain fails to deliver.
+    out; a depth without one is NaN. A tree that reaches the subscriber stands
+    for the chain in its down set. Raises at the first covered chain, in
+    subscriber order, that fails to deliver.
     """
     cache: dict[frozenset[Link], DeliveryReport] = {}
-
-    def hops_for(v: str, failed: frozenset[Link]) -> int:
-        rep = cache.get(failed)
-        if rep is None:
-            rep = cache[failed] = simulate_delivery(gs, failed)
-        outcome = rep.outcomes[v]
-        if not outcome.delivered:
-            names = ";".join(str(l) for l in sorted(failed))
-            raise DataplaneError(f"covered chain {{{names}}} did not deliver to {v}")
-        return outcome.hops or 0
-
-    # per subscriber, the failure set of each covered chain, depth first
-    chains = {
-        v: [frozenset()] + [down for b, _, down in backup_steps(gs.primary, v) if v in b.terminals]
-        for v in sorted(gs.primary.terminals)
-    }
-    means: list[float] = []
-    for depth in range(gs.config.max_failures + 1):
-        samples = [
-            hops_for(v, chain)
-            for v, covered in chains.items()
-            for chain in covered
-            if len(chain) == depth
-        ]
-        means.append(sum(samples) / len(samples) if samples else float("nan"))
-    return means
+    samples: list[list[int]] = [[] for _ in range(gs.config.max_failures + 1)]
+    for v in sorted(gs.primary.terminals):
+        for t in (gs.primary, *backup_steps(gs.primary, v)):
+            if v not in t.terminals:
+                continue
+            if t.down not in cache:
+                cache[t.down] = simulate_delivery(gs, t.down)
+            outcome = cache[t.down].outcomes[v]
+            if not outcome.delivered:
+                names = ";".join(str(l) for l in sorted(t.down))
+                raise DataplaneError(f"covered chain {{{names}}} did not deliver to {v}")
+            samples[len(t.down)].append(outcome.hops or 0)
+    return [sum(s) / len(s) if s else float("nan") for s in samples]
 
 
 # recovery time -----------------------------------------------------
@@ -475,7 +468,8 @@ def simulate_recovery(
     affected_groups: int = 1,
     entries: int = 1,
 ) -> RecoveryReport:
-    """Packets lost to the outage windows of `cuts` repaired link failures."""
+    """Packets lost to the outage windows of `cuts` repaired link failures.
+    An outage window or packet count that is not finite raises ValueError."""
     if cuts < 0:
         raise ValueError("cuts must be >= 0")
     _require_nonnegative("rate_hz", rate_hz)
@@ -485,11 +479,22 @@ def simulate_recovery(
         raise ValueError("affected_groups must be >= 0")
     if entries < 0:
         raise ValueError("entries must be >= 0")
-    outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
+    try:
+        outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
+    except OverflowError:  # an int count too large for a float
+        outage = math.inf
+    _require_nonnegative("the outage window", outage)
     window = outage if duration_ms is None else min(outage, duration_ms)
-    lost = cuts * math.floor(window * rate_hz / 1000.0)
+    lost = cuts * _packets(window, rate_hz)
     sent = None
     if duration_ms is not None:
-        sent = math.floor(duration_ms * rate_hz / 1000.0)
+        sent = _packets(duration_ms, rate_hz)
         lost = min(lost, sent)
     return RecoveryReport(model.mode, cuts, outage, lost, sent)
+
+
+def _packets(ms: float, rate_hz: float) -> int:
+    """Whole packets sent at rate_hz in ms milliseconds."""
+    count = ms * rate_hz / 1000.0
+    _require_nonnegative("the packet count", count)
+    return math.floor(count)

@@ -3,9 +3,10 @@
 protect_join grafts a subscriber onto the primary tree, then walks every
 tree edge the subscriber now depends on and makes sure a backup tree rooted
 at the edge's upstream switch can reach the subscriber with that edge (and
-any already-assumed failures) removed from the topology. Backup trees get
-their own tag and are recursively protected until the failure budget is
-spent. protect_leave undoes exactly that, pruning edges nobody needs.
+any already-assumed failures, together the backup's down set) removed from
+the topology. Backup trees get their own tag and are recursively protected
+until the failure budget is spent. protect_leave undoes exactly that,
+pruning edges nobody needs.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class GroupState:
         for each backup tree on a subscriber's protection path that does not
         reach it. Computed from the trees on each read."""
         return sorted(
-            (b.tag, edge, tuple(sorted(str(l) for l in down)), v)
+            (b.tag, b.protects[1], tuple(sorted(str(l) for l in b.down)), v)
             for v in self.primary.terminals
-            for b, edge, down in backup_steps(self.primary, v)
+            for b in backup_steps(self.primary, v)
             if v not in b.terminals
         )
 
@@ -101,26 +102,26 @@ def protect_join(gs: GroupState, v: str) -> bool:
         raise ValueError("the source cannot subscribe to its own group")
     if v in primary.terminals:
         return True
-    full = _attach(gs, primary, v, frozenset())
+    full = _attach(gs, primary, v)
     if full is None:
         return False
     gs.installer.ensure_base(primary.root)
-    queue: deque[tuple[PathEdges, MulticastTree, frozenset[Link]]] = deque()
+    queue: deque[tuple[PathEdges, MulticastTree]] = deque()
     if gs.config.max_failures > 0:
-        queue.append((full, primary, frozenset()))
+        queue.append((full, primary))
     try:
         while queue:
-            path_edges, tree, down = queue.popleft()
+            path_edges, tree = queue.popleft()
             for x, y in path_edges:
-                assumed = down | {Link(x, y)}
                 b = tree.backup.get((x, y))
                 if b is None:
                     # the tag is burned even when no backup path exists
-                    b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)))
+                    b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)),
+                                      down=tree.down | {Link(x, y)})
                     tree.backup[(x, y)] = b
-                bfull = _attach(gs, b, v, assumed)
-                if bfull is not None and len(assumed) < gs.config.max_failures:
-                    queue.append((bfull, b, assumed))
+                bfull = _attach(gs, b, v)
+                if bfull is not None and len(b.down) < gs.config.max_failures:
+                    queue.append((bfull, b))
     except TagSpaceExhausted:
         # undo the partial join through the leave path; the tags it drew stay burned
         protect_leave(gs, v)
@@ -128,16 +129,16 @@ def protect_join(gs: GroupState, v: str) -> bool:
     return True
 
 
-def _attach(gs: GroupState, tree: MulticastTree, v: str, avoid: frozenset[Link]) -> PathEdges | None:
-    """Join v to one tree, routing around the links in avoid, and install the
-    flows; full root-to-v edge list.
+def _attach(gs: GroupState, tree: MulticastTree, v: str) -> PathEdges | None:
+    """Join v to one tree, routing around the links in tree.down, and install
+    the flows; full root-to-v edge list.
 
     A subscriber whose switch already forwards for the tree just gets the
     host delivery added (empty extension).
     """
     gs.join_calls += 1
     if v not in tree.nodes:
-        got = join(gs.net, tree, v, gs.config.strategy, avoid)
+        got = join(gs.net, tree, v, gs.config.strategy, tree.down)
         if got is None:
             return None
         apply_path(tree, got)

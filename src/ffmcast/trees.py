@@ -28,7 +28,8 @@ class MulticastTree:
     is keyed by the same int, so a flow matches tree.tag and a bucket onto
     this tree stamps it. terminals are the switches whose host receives the
     stream from this tree; protects records which edge of which parent tree
-    this tree is the backup for.
+    this tree is the backup for, and down the links it assumes failed: the
+    parent's down plus that edge. Joins onto the tree route around them.
     """
 
     root: str
@@ -39,6 +40,7 @@ class MulticastTree:
     backup: dict[tuple[str, str], "MulticastTree"] = field(default_factory=dict)
     terminals: set[str] = field(default_factory=set)
     protects: tuple[int, tuple[str, str]] | None = None
+    down: frozenset[Link] = frozenset()
 
     def __post_init__(self) -> None:
         self.nodes.add(self.root)
@@ -141,28 +143,18 @@ def dst_join(
     return pre + [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
 
 
-def backup_steps(
-    tree: MulticastTree, v: str
-) -> Iterator[tuple[MulticastTree, tuple[str, str], frozenset[Link]]]:
-    """Walk v's protection hierarchy below tree, depth first.
-
-    For each edge on v's path in a tree that reaches v and has a backup,
-    yields (backup tree, protected edge, assumed-down links), then descends
-    into that backup if it reaches v too. Backups exist only down to the
-    failure budget, so the walk ends there.
+def backup_steps(tree: MulticastTree, v: str) -> Iterator[MulticastTree]:
+    """Yield v's protection hierarchy below tree, depth first: the backup of
+    each edge on v's path in a tree that reaches v, then the backups below it.
+    Backups exist only down to the failure budget, so the walk ends there.
     """
-
-    def walk(t: MulticastTree, down: frozenset[Link]):
-        if v not in t.terminals:
-            return
-        for x, y in t.path_to(v):
-            b = t.backup.get((x, y))
-            if b is not None:
-                assumed = down | {Link(x, y)}
-                yield b, (x, y), assumed
-                yield from walk(b, assumed)
-
-    return walk(tree, frozenset())
+    if v not in tree.terminals:
+        return
+    for edge in tree.path_to(v):
+        b = tree.backup.get(edge)
+        if b is not None:
+            yield b
+            yield from backup_steps(b, v)
 
 
 JOIN_STRATEGIES = {"spt": spt_join, "dst": dst_join}

@@ -168,6 +168,12 @@ class TestBadInput:
         (["recover", "--model", "restore", "--rtt-ms", "nan"], "rtt_ms must be finite"),
         (["recover", "--model", "ff", "--duration-ms=-inf"], "duration_ms must be finite"),
         (["report", "--preset", "geant", "-F", "5", "--reps", "1"], "all 4094 tags in use"),
+        (["recover", "--model", "ff", "--detect-ms", "1e308", "--rate-hz", "1e308"],
+         "the packet count must be finite"),
+        (["recover", "--model", "restore", "--flowmod-ms", "1e308", "--entries", "10"],
+         "the outage window must be finite"),
+        (["recover", "--model", "restore", "--entries", "1" + "0" * 400],
+         "the outage window must be finite"),
     ])
     def test_rejected(self, files, capsys, argv, message):
         topo, scn, tmp = files

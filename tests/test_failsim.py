@@ -170,6 +170,14 @@ class TestSimulateDelivery:
 
 
 class TestVerifyTolerance:
+    @pytest.mark.parametrize("budget", [{"max_failures": -1}, {"max_sets": -1}])
+    def test_negative_budget_rejected(self, budget):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        name = next(iter(budget))
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            verify_tolerance(gs, **budget)
+
     def test_theta_f2_fully_covered(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
         protect_join(gs, "b")
@@ -471,6 +479,15 @@ class TestDepthHopcounts:
         depths = depth_hopcounts(gs)
         assert depths[0] == 1.0
         assert math.isnan(depths[1])
+
+    def test_covered_chain_that_does_not_deliver_raises(self):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        backup = gs.primary.backup["r", "a"]
+        assert backup.parent["b"] == "c"
+        replace_record(gs, "c", backup.tag)  # c now swallows the backup's copies
+        with pytest.raises(DataplaneError, match=r"covered chain \{a-r\} did not deliver to b"):
+            depth_hopcounts(gs)
 
 
 class TestRecovery:

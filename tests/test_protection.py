@@ -7,7 +7,7 @@ from ffmcast.dataplane import MAX_TAG, PLAIN, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import Network, complete_graph, geant, load_topology
+from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
 from tests.test_dataplane import check_view, fill_view
 from tests.test_topology import rand_connected
 
@@ -379,7 +379,15 @@ def all_trees(gs):
 
 def check_installer_index(gs):
     """The installer's records name exactly the live trees' state, and each
-    group member is the (tag, edge) key of the tree edge its bucket carries."""
+    group member is the (tag, edge) key of the tree edge its bucket carries.
+    Each live backup names the edge it protects and assumes down its parent's
+    links plus that edge, within the budget, and none of its own edges."""
+    for t in all_trees(gs):
+        for edge, b in t.backup.items():
+            assert b.protects == (t.tag, edge)
+            assert b.down == t.down | {Link(*edge)}
+            assert len(b.down) <= gs.config.max_failures
+            assert not any(Link(p, c) in b.down for c, p in b.parent.items()), b.tag
     inst = gs.installer
     switches = gs.fabric.switches
     first_hops = {(t.tag, (t.root, c)) for t in all_trees(gs)[1:] for c in t.children.get(t.root, ())}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffmcast import trees
+from ffmcast import protection, trees
 from ffmcast.errors import InvalidPathError
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
 from ffmcast.topology import (
@@ -250,6 +250,32 @@ class TestReachMemo:
             assert protect_join(gs, v)
         assert set(net._reach) == set(searched)
         assert len(net._reach) < len(searched)
+
+
+class TestSearchAvoid:
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_each_search_avoids_the_grown_trees_down_set(self, strategy, monkeypatch):
+        # the very frozenset the tree holds, so the reach memo hashes it once
+        net = grid(6)
+        gs = GroupState(net, "g0000", ProtectionConfig(strategy, 2))
+        growing = []
+        searched = []
+        real_join, real_search = protection.join, trees.shortest_path
+
+        def join_spy(net, tree, v, strategy, avoid):
+            growing.append(tree)
+            return real_join(net, tree, v, strategy, avoid)
+
+        def search_spy(net, src, dst, prefer=None, avoid=frozenset()):
+            assert avoid is growing[-1].down
+            searched.append(len(avoid))
+            return real_search(net, src, dst, prefer, avoid)
+
+        monkeypatch.setattr(protection, "join", join_spy)
+        monkeypatch.setattr(trees, "shortest_path", search_spy)
+        for v in net.nodes[1:]:
+            assert protect_join(gs, v)
+        assert set(searched) == {0, 1, 2}
 
 
 class TestDispatch:
