@@ -307,19 +307,22 @@ def verify_tolerance(
     is found by the fixpoint C <- T & W(C) from C = {}: C stays inside T, so
     the walks under C and T read the same links up to the first link of
     T \\ C they meet, which the next step adds; the steps stop at T & W(T).
-    Every walk after the baseline resumes from the walk of the core before
-    it in that chain, which is a strict subset and so in the memo: the
-    copies whose path avoids the links added are kept as they are, the
-    copies that read an added link run again and the copies they newly emit
-    are expanded; on geant at F=3 that re-expands about 12 of the 47 hops a
-    walk from the source takes. The report's `read` stays exact, since a
-    kept copy reads under the core just what it read under the base, so the
-    next core of the chain is found as before. Walks are memoised by link
-    bitmask, each with its copies, its duplicate count and the subscribers
-    it missed; a resumed walk shares each Delivery it leaves alone with its
-    base. Only sets smaller than the budget are kept (a core as large as the
-    budget is the one set it stands for, and nothing resumes from it), so the
-    memo holds at most sum(comb(links, k) for k < budget) walks.
+    Every walk after the baseline resumes from a memoised walk of its core
+    less one link, the one with the most copies if there are several, and
+    from the baseline if there is none (no sweep in the tests or benchmarks
+    meets one). Any walk under a subset would do as the base; one link less
+    leaves the least to redo. The copies whose path avoids the added link
+    are kept as they are, the copies that read it run again and the copies
+    they newly emit are expanded: on geant at F=3 a walk from the source
+    pops 40 copies and a resumed walk re-expands about 5. The report's
+    `read` stays exact, since a kept copy reads under the core just what it
+    read under the base, so the next core of the chain is found as before.
+    Walks are memoised by link bitmask, each with its copies, its duplicate
+    count and the subscribers it missed; a resumed walk shares each
+    Delivery it leaves alone with its base. Only sets smaller than the
+    budget are kept (a core as large as the budget is the one set it stands
+    for, and nothing resumes from it), so the memo holds at most
+    sum(comb(links, k) for k < budget) walks.
     """
     if max_failures is None:
         max_failures = gs.config.max_failures
@@ -361,13 +364,17 @@ def verify_tolerance(
     tally(root)
     bit = gs.net.bit
     bits = [bit[l] for l in links]
+    size = lambda m: len(m.copies)
     for k in range(1, max_failures + 1):
         for combo, combo_bits in zip(combinations(links, k), combinations(bits, k)):
             failed = sum(combo_bits)  # the bits are disjoint: the sum is their union
             w = root
-            # the fixpoint C <- failed & W(C); each walk resumes from the one before
+            # the fixpoint C <- failed & W(C); a new core resumes from the
+            # largest memoised walk one link smaller, or else from the root
             while (core := failed & w.report.read) != w.down:
-                w = memo.get(core) or walk(core, w)
+                w = memo.get(core) or walk(core, max(
+                    (m for b in combo_bits if b & core and (m := memo.get(core ^ b))),
+                    key=size, default=root))
             report.sets_checked += 1
             tally(w)
             if on_case is not None:
@@ -436,11 +443,19 @@ class RecoveryModel:
             _require_nonnegative(name, getattr(self, name))
 
     def outage_ms(self, affected_groups: int = 1, entries: int = 1) -> float:
-        if self.mode == "ff":
-            return self.detection_ms
-        if self.mode == "switch":
-            return self.detection_ms + self.rtt_ms + self.flowmod_ms * affected_groups
-        return self.detection_ms + self.rtt_ms + self.compute_ms + self.flowmod_ms * entries
+        """The outage window of one cut. One that is not finite raises ValueError."""
+        try:
+            if self.mode == "ff":
+                outage = self.detection_ms
+            elif self.mode == "switch":
+                outage = self.detection_ms + self.rtt_ms + self.flowmod_ms * affected_groups
+            else:
+                outage = (self.detection_ms + self.rtt_ms + self.compute_ms
+                          + self.flowmod_ms * entries)
+        except OverflowError:  # an int count too large for a float
+            outage = math.inf
+        _require_nonnegative("the outage window", outage)
+        return outage
 
 
 def _require_nonnegative(name: str, value: float) -> None:
@@ -479,11 +494,7 @@ def simulate_recovery(
         raise ValueError("affected_groups must be >= 0")
     if entries < 0:
         raise ValueError("entries must be >= 0")
-    try:
-        outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
-    except OverflowError:  # an int count too large for a float
-        outage = math.inf
-    _require_nonnegative("the outage window", outage)
+    outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
     window = outage if duration_ms is None else min(outage, duration_ms)
     lost = cuts * _packets(window, rate_hz)
     sent = None

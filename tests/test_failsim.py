@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from ffmcast import failsim
 from ffmcast.dataplane import SwitchFabric
 from ffmcast.errors import BudgetExceeded, DataplaneError, TopologyError
 from ffmcast.failsim import (
@@ -283,6 +284,23 @@ class TestVerifyTolerance:
         assert rep.ok
         assert rep.walks * 2 < rep.sets_checked
 
+    def test_resumes_add_one_link(self, monkeypatch):
+        # regression guard: a new core resumes from a memoised walk one link
+        # smaller, not from an older core of its fixpoint chain
+        gs = geant_f2_all_joined()
+        walk = failsim._walk
+        added = []
+
+        def spy(gs, down, base=None, keep=False):
+            if base is not None:
+                added.append((down & ~base.down).bit_count())
+            return walk(gs, down, base, keep)
+
+        monkeypatch.setattr(failsim, "_walk", spy)
+        rep = verify_tolerance(gs)
+        assert rep.walks == 851  # the cores; the choice of base does not change them
+        assert added == [1] * (rep.walks - 1)
+
 
 class TestSweepRunsInC:
     def test_no_python_hash_eq_or_is_host(self):
@@ -374,6 +392,20 @@ class TestVerifyMatchesBruteForce:
         for v in members[: len(members) // 3]:
             protect_leave(gs, v)
         assert_matches_brute_force(gs, budget)
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_geant_churn(self, strategy):
+        # on a graph this size most cores have several memoised subsets one
+        # link smaller, so resumes start from bases other than the chain's
+        rng = random.Random(5)
+        gs = GroupState(geant(), "AT", ProtectionConfig(strategy, 2))
+        members = [v for v in gs.net.nodes if v != "AT"]
+        rng.shuffle(members)
+        for v in members:
+            protect_join(gs, v)
+        for v in members[: len(members) // 3]:
+            protect_leave(gs, v)
+        assert_matches_brute_force(gs, 2)
 
     def test_dead_drop_bucket_lets_a_silent_group_emit(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
@@ -538,6 +570,17 @@ class TestRecovery:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             RecoveryModel("magic")
+
+    @pytest.mark.parametrize("mode, counts", [
+        ("switch", {"affected_groups": 10**400}),
+        ("restore", {"entries": 10**400}),
+    ])
+    def test_huge_counts_name_the_outage_window(self, mode, counts):
+        model = RecoveryModel(mode)
+        with pytest.raises(ValueError, match="the outage window must be finite"):
+            model.outage_ms(**counts)
+        with pytest.raises(ValueError, match="the outage window must be finite"):
+            simulate_recovery(model, **counts)
 
     def test_negative_cuts(self):
         with pytest.raises(ValueError):
