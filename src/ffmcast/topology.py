@@ -93,7 +93,8 @@ class Network:
         for link in links:
             b = bit.get(link)
             if b is None:
-                raise TopologyError(f"link {'-'.join(map(str, link))} is not in the network")
+                name = "-".join(map(str, link)) if isinstance(link, tuple) else repr(link)
+                raise TopologyError(f"link {name} is not in the network")
             mask |= b
         return mask
 
@@ -174,12 +175,12 @@ def without_links(net: Network, removed: Iterable[Link]) -> Network:
     return Network(net.nodes, net.links - removed)
 
 
-def _banned(avoid: Iterable[Link]) -> dict[str, set[str]]:
+def _banned(avoid: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
     """Node -> neighbours it must not use, for links treated as down."""
     banned: dict[str, set[str]] = {}
-    for link in avoid:
-        banned.setdefault(link.a, set()).add(link.b)
-        banned.setdefault(link.b, set()).add(link.a)
+    for a, b in avoid:
+        banned.setdefault(a, set()).add(b)
+        banned.setdefault(b, set()).add(a)
     return banned
 
 
@@ -201,15 +202,22 @@ def shortest_path(
     and k <= E preferred links costs h(E + 1) - k. The tests keep that
     search as this one's oracle.
 
-    The network memoises the hop distances from src around avoid (its
-    reach) and grows them one breadth-first layer at a time, only until dst
-    has one, so every search from a tree's root around the same links
-    shares them. A pass back from dst over the shortest-path DAG then gives
-    each DAG node the most preferred links it can still collect on the way
-    to dst, and as its successor the first in name order of the next-layer
-    nodes that keep that maximum. Following successors from src takes, at
-    every step, the smallest next node of a best path, so it yields the
-    lexicographically smallest of them.
+    avoid holds links of the network, each in either orientation; anything
+    else raises TopologyError. The network memoises the hop distances from
+    src around avoid (its reach) and grows them one breadth-first layer at a
+    time, only until dst has one, so every search from a tree's root around
+    the same links shares them. avoid is checked when its reach is made.
+
+    The search then walks back from dst over the shortest-path DAG, one
+    layer of predecessors at a time, each predecessor taking as successor
+    the first in name order of the nodes it leads to. It stops at the first
+    layer that holds a prefer key, or at src. When neither src nor dst has
+    an entry, a path of preferred links can only follow prefer entries down
+    to src, one layer per step, and no link above that layer is preferred.
+    So the best path is the smallest such chain from a key of that layer,
+    then the successors to dst. When src or dst has an entry, a key of that
+    layer points one layer up, or no key has such a chain, _rank ranks the
+    whole DAG instead.
     """
     for node in (src, dst):
         if node not in net:
@@ -218,10 +226,11 @@ def shortest_path(
         return [src]
     avoid = frozenset(avoid)
     adj = net._adj
-    banned = _banned(avoid)
     reach = net._reach.get((src, avoid))
     if reach is None:
+        net.mask(avoid)  # a hit's avoid was checked on its miss
         reach = net._reach[src, avoid] = [{src: 0}, [src]]
+    banned = _banned(avoid)
     dist, frontier = reach
     while dst not in dist:
         if not frontier:
@@ -235,13 +244,73 @@ def shortest_path(
                     dist[nxt] = hops
                     reached.append(nxt)
         reach[1] = frontier = reached
-    hops = dist[dst]
     if prefer is None:
         prefer = {}
+    if src in prefer or dst in prefer:
+        return _rank(net, src, dst, prefer, dist, banned)
+    succ: dict[str, str] = {}
+    layer = [dst]
+    for left in range(dist[dst] - 1, -1, -1):
+        below = []
+        for node in sorted(layer):
+            skip = banned.get(node, ())
+            for pre in adj[node]:
+                if pre not in succ and dist.get(pre) == left and pre not in skip:
+                    succ[pre] = node
+                    below.append(pre)
+        layer = below
+        keys = [node for node in layer if node in prefer]
+        if keys:
+            path = _chain(net, keys, left, prefer, dist, banned)
+            if path is None:
+                return _rank(net, src, dst, prefer, dist, banned)
+            break
+    else:
+        path = [src]
+    node = path[-1]
+    while node != dst:
+        node = succ[node]
+        path.append(node)
+    return path
+
+
+def _chain(net, keys, left, prefer, dist, banned) -> list[str] | None:
+    """The smallest src-to-key path of prefer entries among keys at hop left,
+    each entry one hop nearer src over a link not avoided; None when a key
+    points one hop further or no key has such a path."""
+    best = None
+    for key in keys:
+        if dist.get(prefer[key]) == left + 1:
+            return None
+        chain = [key]
+        node = key
+        for hops in range(left - 1, -1, -1):
+            up = prefer.get(node)
+            if up is None or dist.get(up) != hops or (node, up) not in net.bit or up in banned.get(node, ()):
+                break
+            chain.append(up)
+            node = up
+        else:
+            chain.reverse()
+            if best is None or chain < best:
+                best = chain
+    return best
+
+
+def _rank(net, src, dst, prefer, dist, banned) -> list[str]:
+    """The full ranking over the shortest-path DAG of dist.
+
+    A pass back from dst gives each DAG node the most preferred links it can
+    still collect on the way to dst, and as its successor the first in name
+    order of the next-layer nodes that keep that maximum. Following
+    successors from src takes, at every step, the smallest next node of a
+    best path, so it yields the lexicographically smallest of them.
+    """
+    adj = net._adj
     gain = {dst: 0}
     succ = {}
     layer = [dst]
-    for left in range(hops - 1, -1, -1):
+    for left in range(dist[dst] - 1, -1, -1):
         below = []
         for node in layer:
             k = gain[node]
@@ -269,9 +338,15 @@ def shortest_path(
 
 
 def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -> dict[str, int]:
-    """Hop distance from src to every node reachable without the links in avoid."""
+    """Hop distance from src to every node reachable without the links in avoid.
+
+    avoid holds links of the network, each in either orientation; anything
+    else raises TopologyError.
+    """
     if src not in net:
         raise TopologyError(f"unknown node {src!r}")
+    avoid = tuple(avoid)
+    net.mask(avoid)
     adj = net._adj
     banned = _banned(avoid)
     dist = {src: 0}

@@ -7,7 +7,7 @@ from ffmcast.dataplane import MAX_TAG, PLAIN, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
+from ffmcast.topology import Link, Network, bfs_distances, complete_graph, geant, load_topology
 from tests.test_dataplane import check_view, fill_view
 from tests.test_topology import rand_connected
 
@@ -381,13 +381,17 @@ def check_installer_index(gs):
     """The installer's records name exactly the live trees' state, and each
     group member is the (tag, edge) key of the tree edge its bucket carries.
     Each live backup names the edge it protects and assumes down its parent's
-    links plus that edge, within the budget, and none of its own edges."""
+    links plus that edge, within the budget, and none of its own edges. An
+    spt tree is a shortest-path tree of its root around its down set."""
     for t in all_trees(gs):
         for edge, b in t.backup.items():
             assert b.protects == (t.tag, edge)
             assert b.down == t.down | {Link(*edge)}
             assert len(b.down) <= gs.config.max_failures
             assert not any(Link(p, c) in b.down for c, p in b.parent.items()), b.tag
+        if gs.config.strategy == "spt":
+            dist = bfs_distances(gs.net, t.root, t.down)
+            assert all(len(t.path_to(v)) == dist[v] for v in t.nodes), t.tag
     inst = gs.installer
     switches = gs.fabric.switches
     first_hops = {(t.tag, (t.root, c)) for t in all_trees(gs)[1:] for c in t.children.get(t.root, ())}

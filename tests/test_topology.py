@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ffmcast import topology
 from ffmcast.errors import TopologyError
 from ffmcast.topology import (
     Link,
@@ -17,7 +18,7 @@ from ffmcast.topology import (
     shortest_path,
     without_links,
 )
-from ffmcast.trees import MulticastTree, apply_path, spt_join
+from ffmcast.trees import MulticastTree, apply_path, join, spt_join
 
 
 def rand_connected(rng, n, extra=None):
@@ -66,11 +67,16 @@ def reference_path(net, src, dst, cost=None, avoid=frozenset()):
     return None
 
 
+def prefer_cost(prefer):
+    """shortest_path's exact integer pricing: E = len(prefer) per preferred
+    link, E + 1 per other link."""
+    edges = len(prefer)
+    return lambda a, b: edges if prefer.get(b) == a or prefer.get(a) == b else edges + 1
+
+
 def tree_cost(tree):
     """spt's exact integer pricing: E per tree link, E + 1 per other link."""
-    edges = len(tree.parent)
-    parent = tree.parent
-    return lambda a, b: edges if parent.get(b) == a or parent.get(a) == b else edges + 1
+    return prefer_cost(tree.parent)
 
 
 class TestLink:
@@ -287,6 +293,43 @@ class TestShortestPath:
         assert unreachable > 0
 
 
+class TestFullRanking:
+    """The cases where the walk back from dst may not stop at the first layer
+    holding a prefer key. Each ranks the whole DAG, and in each the stop
+    would have given another path."""
+
+    SQUARE = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
+    CASES = {
+        "src has an entry": (SQUARE, "A", "C", {"A": "D"}, (), ["A", "D", "C"]),
+        "dst has an entry": (SQUARE, "A", "C", {"C": "D"}, (), ["A", "D", "C"]),
+        # B's chain runs to S, but A's preferred link up to C ties with it
+        "a key points one layer up": (
+            [("S", "A"), ("S", "B"), ("A", "C"), ("B", "C")], "S", "C", {"B": "S", "A": "C"}, (),
+            ["S", "A", "C"],
+        ),
+        "the only chain crosses an avoided link": (
+            [("S", "P"), ("S", "Q"), ("P", "K"), ("Q", "K"), ("K", "D")], "S", "D",
+            {"K": "P", "P": "S"}, [("P", "K")], ["S", "Q", "K", "D"],
+        ),
+        "the only chain steps to a non-neighbour": (
+            [("S", "P"), ("S", "R"), ("P", "K"), ("K", "D")], "S", "D", {"K": "R", "R": "S"}, (),
+            ["S", "P", "K", "D"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ranks_the_whole_dag(self, case, monkeypatch):
+        links, src, dst, prefer, avoid, want = self.CASES[case]
+        ranked = []
+        real = topology._rank
+        monkeypatch.setattr(topology, "_rank", lambda *args: ranked.append(args) or real(*args))
+        net = load_topology({"nodes": sorted({n for link in links for n in link}), "links": links})
+        avoid = {Link(*link) for link in avoid}
+        assert reference_path(net, src, dst, prefer_cost(prefer), avoid) == want
+        assert shortest_path(net, src, dst, prefer, avoid) == want
+        assert len(ranked) == 1
+
+
 class TestReachMemo:
     """Searches that share one network's memoised reach give what a search
     on a fresh copy of the network gives, whatever order they come in."""
@@ -359,6 +402,33 @@ class TestAvoid:
         for rng, net, avoid, sub in self.cases():
             src = rng.choice(net.nodes)
             assert bfs_distances(net, src, avoid) == bfs_distances(sub, src)
+
+    def test_links_in_either_orientation(self):
+        net = geant()
+        for avoid in ({("AT", "HU")}, {("HU", "AT")}, [("SI", "AT"), ("HU", "AT")]):
+            links = {Link(*link) for link in avoid}
+            assert shortest_path(net, "AT", "UK", avoid=avoid) == shortest_path(net, "AT", "UK", avoid=links)
+            assert bfs_distances(net, "AT", avoid) == bfs_distances(net, "AT", links)
+        assert shortest_path(net, "AT", "HU", avoid={("HU", "AT")}) != ["AT", "HU"]
+        assert bfs_distances(net, "AT", {("HU", "AT")})["HU"] == 2
+
+    @pytest.mark.parametrize("bad, name", [
+        (("AT", "UK"), "AT-UK"),  # two nodes, no link
+        (("AT", "XX"), "AT-XX"),
+        (("AT", "HU", "SK"), "AT-HU-SK"),
+        ("AT-HU", "'AT-HU'"),
+    ])
+    def test_anything_else_is_rejected(self, bad, name):
+        net = geant()
+        message = f"link {name} is not in the network"
+        with pytest.raises(TopologyError, match=message):
+            shortest_path(net, "AT", "UK", avoid={Link("AT", "HU"), bad})
+        assert net._reach == {}  # a rejected avoid leaves no reach behind
+        with pytest.raises(TopologyError, match=message):
+            bfs_distances(net, "AT", [Link("AT", "HU"), bad])
+        for strategy in ("spt", "dst"):
+            with pytest.raises(TopologyError, match=message):
+                join(net, MulticastTree(root="AT"), "UK", strategy, {bad})
 
     def test_avoided_link_unused(self):
         net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]})

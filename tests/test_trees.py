@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ffmcast import protection, trees
+from ffmcast import protection, topology, trees
 from ffmcast.errors import InvalidPathError
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
 from ffmcast.topology import (
     Link,
     bfs_distances,
     complete_graph,
+    geant,
     load_topology,
     without_links,
 )
@@ -250,6 +251,25 @@ class TestReachMemo:
             assert protect_join(gs, v)
         assert set(net._reach) == set(searched)
         assert len(net._reach) < len(searched)
+
+
+class TestSearchShortcut:
+    """Group builds never rank the whole shortest-path DAG: an spt tree's
+    prefer keys chain to its root one layer per step, and dst searches have
+    no prefer map, so every search stops at the first layer holding a key."""
+
+    @pytest.mark.parametrize("topo, strategy", [("grid", "spt"), ("geant", "spt"), ("geant", "dst")])
+    def test_builds_stop_at_the_first_tree_layer(self, topo, strategy, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ranked the whole DAG")
+
+        monkeypatch.setattr(topology, "_rank", refuse)
+        net, source = (grid(12), "g0000") if topo == "grid" else (geant(), "AT")
+        gs = GroupState(net, source, ProtectionConfig(strategy, 2))
+        order = [v for v in net.nodes if v != source]
+        random.Random(7).shuffle(order)
+        for v in order:
+            assert protect_join(gs, v)
 
 
 class TestSearchAvoid:
