@@ -252,14 +252,18 @@ def shortest_path(
     layer = [dst]
     for left in range(dist[dst] - 1, -1, -1):
         below = []
-        for node in sorted(layer):
+        for node in layer:
             skip = banned.get(node, ())
             for pre in adj[node]:
-                if pre not in succ and dist.get(pre) == left and pre not in skip:
-                    succ[pre] = node
-                    below.append(pre)
+                if dist.get(pre) == left and pre not in skip:
+                    old = succ.get(pre)
+                    if old is None:
+                        succ[pre] = node
+                        below.append(pre)
+                    elif node < old:
+                        succ[pre] = node
         layer = below
-        keys = [node for node in layer if node in prefer]
+        keys = prefer.keys() & layer
         if keys:
             path = _chain(net, keys, left, prefer, dist, banned)
             if path is None:
@@ -274,7 +278,14 @@ def shortest_path(
     return path
 
 
-def _chain(net, keys, left, prefer, dist, banned) -> list[str] | None:
+def _chain(
+    net: Network,
+    keys: Iterable[str],
+    left: int,
+    prefer: Mapping[str, str],
+    dist: dict[str, int],
+    banned: dict[str, set[str]],
+) -> list[str] | None:
     """The smallest src-to-key path of prefer entries among keys at hop left,
     each entry one hop nearer src over a link not avoided; None when a key
     points one hop further or no key has such a path."""
@@ -297,7 +308,14 @@ def _chain(net, keys, left, prefer, dist, banned) -> list[str] | None:
     return best
 
 
-def _rank(net, src, dst, prefer, dist, banned) -> list[str]:
+def _rank(
+    net: Network,
+    src: str,
+    dst: str,
+    prefer: Mapping[str, str],
+    dist: dict[str, int],
+    banned: dict[str, set[str]],
+) -> list[str]:
     """The full ranking over the shortest-path DAG of dist.
 
     A pass back from dst gives each DAG node the most preferred links it can
