@@ -295,8 +295,8 @@ class TestShortestPath:
 
 class TestFullRanking:
     """The cases where the walk back from dst may not stop at the first layer
-    holding a prefer key. Each ranks the whole DAG, and in each the stop
-    would have given another path."""
+    holding a prefer key. Each ranks the whole DAG; a stop that ignored the
+    case would give another path."""
 
     SQUARE = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
     CASES = {
