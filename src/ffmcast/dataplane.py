@@ -284,11 +284,13 @@ class FlowInstaller:
     # install -------------------------------------------------------
 
     def compile_path(self, tree, path: list[tuple[str, str]], terminal: str | None = None) -> None:
-        """Install the flows for a join path; already-installed edges are no-ops.
+        """Install the flows for tree edges and a host delivery at terminal.
 
-        The first hop out of a backup tree's root becomes a failover bucket
-        in the group covering the protected link; every other edge is a
-        child of the (switch, tag) flow.
+        Callers pass only the edges they add to the tree (what apply_path
+        returns), so a join pays for its new edges alone; an edge that is
+        already installed is still a no-op. The first hop out of a backup
+        tree's root becomes a failover bucket in the group covering the
+        protected link; every other edge is a child of the (switch, tag) flow.
         """
         key = (self.group_key, tree.tag)
         switches = self.fabric.switches
@@ -308,7 +310,9 @@ class FlowInstaller:
                 flow.children[(a, b)] = PLAIN
                 self._edited(a, tree.tag)
         if terminal is not None:
-            flow = switches[terminal].flows.setdefault(key, Flow())
+            flow = switches[terminal].flows.get(key)
+            if flow is None:
+                flow = switches[terminal].flows[key] = Flow()
             if not flow.terminal:
                 flow.terminal = True
                 self._edited(terminal, tree.tag)

@@ -131,21 +131,21 @@ def protect_join(gs: GroupState, v: str) -> bool:
 
 def _attach(gs: GroupState, tree: MulticastTree, v: str) -> PathEdges | None:
     """Join v to one tree, routing around the links in tree.down, and install
-    the flows; full root-to-v edge list.
+    the edges the join added and v's host delivery; full root-to-v edge list.
 
     A subscriber whose switch already forwards for the tree just gets the
-    host delivery added (empty extension).
+    host delivery added.
     """
     gs.join_calls += 1
+    added: PathEdges = []
     if v not in tree.nodes:
         got = join(gs.net, tree, v, gs.config.strategy, tree.down)
         if got is None:
             return None
-        apply_path(tree, got)
+        added = apply_path(tree, got)
     tree.terminals.add(v)
-    full = tree.path_to(v)
-    gs.installer.compile_path(tree, full, terminal=v)
-    return full
+    gs.installer.compile_path(tree, added, terminal=v)
+    return tree.path_to(v)
 
 
 def protect_leave(gs: GroupState, v: str) -> None:
@@ -167,12 +167,12 @@ def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
     pruned: list[tuple[str, str]] = []
     cur = v
     # drop edges upward until someone else still needs the switch
-    while cur != tree.root and not tree.children.get(cur) and cur not in tree.terminals:
+    while cur != tree.root and cur not in tree.fanout and cur not in tree.terminals:
         parent = tree.parent.pop(cur)
         tree.nodes.discard(cur)
-        tree.children[parent].discard(cur)
-        if not tree.children[parent]:
-            del tree.children[parent]
+        tree.fanout[parent] -= 1
+        if not tree.fanout[parent]:
+            del tree.fanout[parent]
         gs.installer.remove_edge(tree, (parent, cur))
         pruned.append((parent, cur))
         cur = parent

@@ -30,13 +30,14 @@ class MulticastTree:
     stream from this tree; protects records which edge of which parent tree
     this tree is the backup for, and down the links it assumes failed: the
     parent's down plus that edge. Joins onto the tree route around them.
+    fanout counts each node's children; a node with none is absent.
     """
 
     root: str
     tag: int = 0
     nodes: set[str] = field(default_factory=set)
     parent: dict[str, str] = field(default_factory=dict)
-    children: dict[str, set[str]] = field(default_factory=dict)
+    fanout: dict[str, int] = field(default_factory=dict)
     backup: dict[tuple[str, str], "MulticastTree"] = field(default_factory=dict)
     terminals: set[str] = field(default_factory=set)
     protects: tuple[int, tuple[str, str]] | None = None
@@ -61,29 +62,38 @@ class MulticastTree:
         return chain
 
 
-def apply_path(tree: MulticastTree, path: PathEdges) -> None:
-    """Add a join path to the tree; edges already present are no-ops.
+def apply_path(tree: MulticastTree, path: PathEdges) -> PathEdges:
+    """Add a join path to the tree; returns the edges it added, in path order.
 
     The path must chain head-to-tail and start at a node already in the
-    tree. Giving a node a second parent is an error.
+    tree. Edges already in the tree are no-ops. Giving a node a second
+    parent is an error, and so is a path that comes back to a node it
+    added. Every edge is checked before the tree changes, so a rejected
+    path leaves it as it was.
     """
     if not path:
-        return
+        return []
     if path[0][0] not in tree.nodes:
         raise InvalidPathError(f"path starts at {path[0][0]!r}, which is outside the tree")
-    prev_head = None
+    added: PathEdges = []
+    new: set[str] = set()
+    prev_head = path[0][0]
     for a, b in path:
-        if prev_head is not None and a != prev_head:
+        if a != prev_head:
             raise InvalidPathError(f"path breaks at ({a!r}, {b!r})")
         prev_head = b
-    for a, b in path:
-        if b in tree.nodes:
-            if tree.parent.get(b) != a:
-                raise InvalidPathError(f"{b!r} already has a different parent")
-            continue
+        if b in new:
+            raise InvalidPathError(f"path comes back to {b!r}")
+        if b not in tree.nodes:
+            new.add(b)
+            added.append((a, b))
+        elif tree.parent.get(b) != a:
+            raise InvalidPathError(f"{b!r} already has a different parent")
+    for a, b in added:
         tree.nodes.add(b)
         tree.parent[b] = a
-        tree.children.setdefault(a, set()).add(b)
+        tree.fanout[a] = tree.fanout.get(a, 0) + 1
+    return added
 
 
 def spt_join(

@@ -1,15 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 import ffmcast.protection
-from ffmcast.dataplane import MAX_TAG, PLAIN, SwitchFabric
+from ffmcast.dataplane import MAX_TAG, PLAIN, FlowInstaller, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import Link, Network, bfs_distances, complete_graph, geant, load_topology
 from tests.test_dataplane import check_view, fill_view
-from tests.test_topology import rand_connected
+from tests.test_topology import grid, rand_connected
 
 
 def triangle():
@@ -352,6 +353,42 @@ class TestNoGraphBuilds:
         assert not builds
 
 
+class TestCompileOnlyNewEdges:
+    """A join hands the installer only the edges it adds to a tree, so none
+    of them is installed yet: no flow child and no bucket for the edge."""
+
+    @pytest.mark.parametrize("topo", ["grid6", "geant"])
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_every_compiled_edge_is_new(self, topo, strategy, monkeypatch):
+        net, source = (grid(6), "g0000") if topo == "grid6" else (geant(), "AT")
+        compiled = []
+        real = FlowInstaller.compile_path
+
+        def guard(self, tree, path, terminal=None):
+            flows = self.fabric.switches
+            for edge in path:
+                flow = flows[edge[0]].flows.get((self.group_key, tree.tag))
+                assert flow is None or edge not in flow.children, (tree.tag, edge)
+                assert (tree.tag, edge) not in self._buckets, (tree.tag, edge)
+            compiled.extend(path)
+            return real(self, tree, path, terminal)
+
+        monkeypatch.setattr(FlowInstaller, "compile_path", guard)
+        gs = GroupState(net, source, ProtectionConfig(strategy, 2))
+        order = [v for v in net.nodes if v != source]
+        rng = random.Random(7)
+        rng.shuffle(order)
+        leaving = order[::3]
+        for v in order:
+            assert protect_join(gs, v)
+        for v in leaving:
+            protect_leave(gs, v)
+        for v in reversed(leaving):  # rejoins regrow pruned edges
+            assert protect_join(gs, v)
+        check_installer_index(gs)
+        assert len(compiled) > len(net.nodes)
+
+
 class TestConfig:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
@@ -381,20 +418,22 @@ def check_installer_index(gs):
     """The installer's records name exactly the live trees' state, and each
     group member is the (tag, edge) key of the tree edge its bucket carries.
     Each live backup names the edge it protects and assumes down its parent's
-    links plus that edge, within the budget, and none of its own edges. An
-    spt tree is a shortest-path tree of its root around its down set."""
+    links plus that edge, within the budget, and none of its own edges. Each
+    tree's fanout counts the children its parent map gives. An spt tree is a
+    shortest-path tree of its root around its down set."""
     for t in all_trees(gs):
         for edge, b in t.backup.items():
             assert b.protects == (t.tag, edge)
             assert b.down == t.down | {Link(*edge)}
             assert len(b.down) <= gs.config.max_failures
             assert not any(Link(p, c) in b.down for c, p in b.parent.items()), b.tag
+        assert t.fanout == Counter(t.parent.values()), t.tag
         if gs.config.strategy == "spt":
             dist = bfs_distances(gs.net, t.root, t.down)
             assert all(len(t.path_to(v)) == dist[v] for v in t.nodes), t.tag
     inst = gs.installer
     switches = gs.fabric.switches
-    first_hops = {(t.tag, (t.root, c)) for t in all_trees(gs)[1:] for c in t.children.get(t.root, ())}
+    first_hops = {(t.tag, (p, c)) for t in all_trees(gs)[1:] for c, p in t.parent.items() if p == t.root}
     assert set(inst._buckets) == first_hops
     referenced = set()  # (switch, gid) of every group the installer reaches
     for key, gid in inst._buckets.items():

@@ -60,6 +60,31 @@ class TestApplyPath:
         with pytest.raises(InvalidPathError):
             apply_path(t, [("A", "D"), ("D", "C")])
 
+    def test_returns_the_added_edges(self):
+        t = MulticastTree(root="A")
+        assert apply_path(t, [("A", "B")]) == [("A", "B")]
+        assert apply_path(t, [("A", "B"), ("B", "C"), ("C", "D")]) == [("B", "C"), ("C", "D")]
+        assert apply_path(t, [("A", "B"), ("B", "C")]) == []
+        assert apply_path(t, []) == []
+        assert t.fanout == {"A": 1, "B": 1, "C": 1}
+
+    @pytest.mark.parametrize("path", [
+        [("A", "B"), ("B", "C")],  # C already hangs off D
+        [("A", "B"), ("B", "E"), ("E", "B")],  # comes back to a node it added
+        [("A", "B"), ("B", "E"), ("E", "F"), ("F", "B")],
+        [("A", "B"), ("B", "A")],  # into the root
+        [("A", "B"), ("C", "E")],  # breaks after an edge it would add
+    ])
+    def test_rejected_path_leaves_the_tree_alone(self, path):
+        t = MulticastTree(root="A")
+        apply_path(t, [("A", "D"), ("D", "C")])
+        nodes, parent = set(t.nodes), dict(t.parent)
+        with pytest.raises(InvalidPathError):
+            apply_path(t, path)
+        assert t.nodes == nodes
+        assert t.parent == parent
+        assert t.fanout == {"A": 1, "D": 1}
+
     def test_path_to_unknown_node(self):
         t = MulticastTree(root="A")
         with pytest.raises(InvalidPathError):
@@ -334,5 +359,6 @@ class TestTreeQueries:
         apply_path(t, [("A", "B"), ("B", "C")])
         apply_path(t, [("A", "D")])
         assert len(t.parent) == 3
-        assert t.children["A"] == {"B", "D"}
+        assert {c for c, p in t.parent.items() if p == "A"} == {"B", "D"}
+        assert t.fanout == {"A": 2, "B": 1}
         assert sorted(f"{p}-{c}" for c, p in t.parent.items()) == ["A-B", "A-D", "B-C"]
