@@ -365,9 +365,8 @@ class TestCompileOnlyNewEdges:
         real = FlowInstaller.compile_path
 
         def guard(self, tree, path, terminal=None):
-            flows = self.fabric.switches
             for edge in path:
-                flow = flows[edge[0]].flows.get((self.group_key, tree.tag))
+                flow = self.fabric.switches[edge[0]].flows.get((self.group_key, tree.tag))
                 assert flow is None or edge not in flow.children, (tree.tag, edge)
                 assert (tree.tag, edge) not in self._buckets, (tree.tag, edge)
             compiled.extend(path)
