@@ -286,7 +286,7 @@ class FlowInstaller:
     def compile_path(self, tree, path: list[tuple[str, str]], terminal: str | None = None) -> None:
         """Install the flows for tree edges and a host delivery at terminal.
 
-        Callers pass only the edges they add to the tree (what apply_path
+        Callers pass only the edges they add to the tree (what a join
         returns), so a join pays for its new edges alone; an edge that is
         already installed is still a no-op. The first hop out of a backup
         tree's root becomes a failover bucket in the group covering the

@@ -179,18 +179,18 @@ def georeplay(
 ) -> GeoreplayResult:
     """Join every node in shuffled order, once per repetition, and measure.
 
-    The complete preset defaults its source to the highest node id so tie
-    breaks do not pin the source; the geant preset defaults to AT. n sizes
+    Without a source, the complete preset uses the highest node id so tie
+    breaks do not pin the source, and the geant preset uses AT. n sizes
     the complete preset only; the geant preset rejects it.
     """
     if preset == "complete":
         net = complete_graph(30 if n is None else n)
-        src = source or max(net.nodes)
+        src = max(net.nodes) if source is None else source
     elif preset == "geant":
         if n is not None:
             raise ValueError("n sizes the complete preset; the geant preset has a fixed size")
         net = geant()
-        src = source or "AT"
+        src = "AT" if source is None else source
     else:
         raise ValueError(f"unknown preset {preset!r} (expected one of {PRESETS})")
     config = ProtectionConfig(strategy=strategy, max_failures=max_failures)

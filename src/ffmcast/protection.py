@@ -18,7 +18,7 @@ from .dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from .errors import TagSpaceExhausted, TopologyError
 # without_links is unused here but stays importable: perfbench's tracer wraps it by name
 from .topology import Link, Network, without_links  # noqa: F401
-from .trees import JOIN_STRATEGIES, MulticastTree, PathEdges, apply_path, backup_steps, join
+from .trees import JOIN_STRATEGIES, MulticastTree, apply_path, backup_steps, join
 
 
 @dataclass(frozen=True)
@@ -102,26 +102,24 @@ def protect_join(gs: GroupState, v: str) -> bool:
         raise ValueError("the source cannot subscribe to its own group")
     if v in primary.terminals:
         return True
-    full = _attach(gs, primary, v)
-    if full is None:
+    if not _attach(gs, primary, v):
         return False
     gs.installer.ensure_base(primary.root)
-    queue: deque[tuple[PathEdges, MulticastTree]] = deque()
+    queue: deque[MulticastTree] = deque()
     if gs.config.max_failures > 0:
-        queue.append((full, primary))
+        queue.append(primary)
     try:
         while queue:
-            path_edges, tree = queue.popleft()
-            for x, y in path_edges:
+            tree = queue.popleft()
+            for x, y in tree.path_to(v):
                 b = tree.backup.get((x, y))
                 if b is None:
                     # the tag is burned even when no backup path exists
                     b = MulticastTree(root=x, tag=gs.fresh_tag(), protects=(tree.tag, (x, y)),
                                       down=tree.down | {Link(x, y)})
                     tree.backup[(x, y)] = b
-                bfull = _attach(gs, b, v)
-                if bfull is not None and len(b.down) < gs.config.max_failures:
-                    queue.append((bfull, b))
+                if _attach(gs, b, v) and len(b.down) < gs.config.max_failures:
+                    queue.append(b)
     except TagSpaceExhausted:
         # undo the partial join through the leave path; the tags it drew stay burned
         protect_leave(gs, v)
@@ -129,23 +127,18 @@ def protect_join(gs: GroupState, v: str) -> bool:
     return True
 
 
-def _attach(gs: GroupState, tree: MulticastTree, v: str) -> PathEdges | None:
+def _attach(gs: GroupState, tree: MulticastTree, v: str) -> bool:
     """Join v to one tree, routing around the links in tree.down, and install
-    the edges the join added and v's host delivery; full root-to-v edge list.
-
-    A subscriber whose switch already forwards for the tree just gets the
-    host delivery added.
+    the edges the join adds and v's host delivery; False if v is unreachable.
     """
     gs.join_calls += 1
-    added: PathEdges = []
-    if v not in tree.nodes:
-        got = join(gs.net, tree, v, gs.config.strategy, tree.down)
-        if got is None:
-            return None
-        added = apply_path(tree, got)
+    path = join(gs.net, tree, v, gs.config.strategy, tree.down)
+    if path is None:
+        return False
+    apply_path(tree, path)
     tree.terminals.add(v)
-    gs.installer.compile_path(tree, added, terminal=v)
-    return tree.path_to(v)
+    gs.installer.compile_path(tree, path, terminal=v)
+    return True
 
 
 def protect_leave(gs: GroupState, v: str) -> None:

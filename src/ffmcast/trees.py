@@ -1,10 +1,10 @@
 """Multicast trees and the two join strategies used to grow them.
 
 A tree is a rooted arborescence over switch ids. Joins are pure: they only
-compute a path, and apply_path mutates the tree afterwards. The spt strategy
-re-runs a biased shortest-path search from the root so subscribers always sit
-at minimum hop distance; the dst strategy grafts the subscriber onto the
-nearest tree node.
+compute the edges to add, and apply_path grafts them afterwards. The spt
+strategy re-runs a biased shortest-path search from the root so subscribers
+always sit at minimum hop distance; the dst strategy grafts the subscriber
+onto the nearest tree node.
 """
 
 from __future__ import annotations
@@ -62,38 +62,30 @@ class MulticastTree:
         return chain
 
 
-def apply_path(tree: MulticastTree, path: PathEdges) -> PathEdges:
-    """Add a join path to the tree; returns the edges it added, in path order.
+def apply_path(tree: MulticastTree, path: PathEdges) -> None:
+    """Graft a join's edges onto the tree.
 
-    The path must chain head-to-tail and start at a node already in the
-    tree. Edges already in the tree are no-ops. Giving a node a second
-    parent is an error, and so is a path that comes back to a node it
-    added. Every edge is checked before the tree changes, so a rejected
-    path leaves it as it was.
+    The path must chain head-to-tail from a node already in the tree, and
+    each edge must enter a node not yet on it. Every edge is checked before
+    the tree changes, so a rejected path leaves it as it was.
     """
     if not path:
-        return []
+        return
     if path[0][0] not in tree.nodes:
         raise InvalidPathError(f"path starts at {path[0][0]!r}, which is outside the tree")
-    added: PathEdges = []
-    new: set[str] = set()
+    entered: set[str] = set()
     prev_head = path[0][0]
     for a, b in path:
         if a != prev_head:
             raise InvalidPathError(f"path breaks at ({a!r}, {b!r})")
+        if b in tree.nodes or b in entered:
+            raise InvalidPathError(f"path enters {b!r}, which is already on the tree")
+        entered.add(b)
         prev_head = b
-        if b in new:
-            raise InvalidPathError(f"path comes back to {b!r}")
-        if b not in tree.nodes:
-            new.add(b)
-            added.append((a, b))
-        elif tree.parent.get(b) != a:
-            raise InvalidPathError(f"{b!r} already has a different parent")
-    for a, b in added:
+    for a, b in path:
         tree.nodes.add(b)
         tree.parent[b] = a
         tree.fanout[a] = tree.fanout.get(a, 0) + 1
-    return added
 
 
 def spt_join(
@@ -107,12 +99,12 @@ def spt_join(
     with exact integer costs E for a tree link and E + 1 for any other,
     where E is the tree's edge count: a path of h hops using k tree links
     costs h(E + 1) - k with 0 <= k <= E, so no reuse buys a hop. The tests
-    check this search against that one. Returns only the suffix after the
-    last node already in the tree, or None if v is already in the tree or
+    check this search against that one. Returns the edges after the last
+    node already in the tree, [] if v is in the tree, or None if v is
     unreachable.
     """
     if v in tree.nodes:
-        return None
+        return []
     nodes = shortest_path(net, tree.root, v, tree.parent, avoid)
     if nodes is None:
         return None
@@ -129,12 +121,12 @@ def dst_join(
     """Graft v onto the nearest tree node, skipping links in avoid.
 
     Picks the tree node w with minimum hop distance to v (ties go to the
-    lexicographically smallest w) and returns the existing root-to-w tree
-    path followed by a shortest w-to-v segment. Returns None if v is already
-    in the tree or unreachable.
+    lexicographically smallest w) and returns the edges of a shortest w-to-v
+    segment; no other tree node is on it, since w is nearest. Returns [] if
+    v is in the tree, or None if v is unreachable.
     """
     if v in tree.nodes:
-        return None
+        return []
     avoid = frozenset(avoid)
     dist = bfs_distances(net, v, avoid)
     best: tuple[int, str] | None = None
@@ -149,8 +141,7 @@ def dst_join(
     w = best[1]
     segment = shortest_path(net, w, v, avoid=avoid)
     assert segment is not None
-    pre = tree.path_to(w)
-    return pre + [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
+    return [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
 
 
 def backup_steps(tree: MulticastTree, v: str) -> Iterator[MulticastTree]:
@@ -173,7 +164,11 @@ JOIN_STRATEGIES = {"spt": spt_join, "dst": dst_join}
 def join(
     net: Network, tree: MulticastTree, v: str, strategy: str, avoid: Iterable[Link] = frozenset()
 ) -> PathEdges | None:
-    """Dispatch to a named join strategy; links in avoid are treated as down."""
+    """Dispatch to a named join strategy; links in avoid are treated as down.
+
+    Every strategy returns exactly the edges to add, from a tree node to v:
+    [] when v is already in the tree, None only when v is unreachable.
+    """
     try:
         fn = JOIN_STRATEGIES[strategy]
     except KeyError:

@@ -174,6 +174,9 @@ class TestBadInput:
          "the outage window must be finite"),
         (["recover", "--model", "restore", "--entries", "1" + "0" * 400],
          "the outage window must be finite"),
+        (["report", "--preset", "geant", "--source", "", "--reps", "1"], "unknown source node ''"),
+        (["report", "--preset", "complete", "-n", "4", "--source", "", "--reps", "1"],
+         "unknown source node ''"),
     ])
     def test_rejected(self, files, capsys, argv, message):
         topo, scn, tmp = files

@@ -273,11 +273,20 @@ class TestInstallerLifecycle:
     def test_reinstall_is_idempotent(self):
         fab = SwitchFabric(star(4))
         inst = FlowInstaller(fab, "g")
-        tree = _Tree("S")
-        inst.compile_path(tree, [("S", "p1")], terminal="p1")
-        once = fab.dump()
-        inst.compile_path(tree, [("S", "p1")], terminal="p1")
-        assert fab.dump() == once
+        backup = _Tree("S", tag=1, protects=(0, ("S", "p1")))
+        # a plain edge, then a backup tree's first hop, which is a failover bucket
+        for tree, peer in ((_Tree("S"), "p1"), (backup, "p2")):
+            inst.compile_path(tree, [("S", peer)], terminal=peer)
+            once = fab.dump()
+            inst.compile_path(tree, [("S", peer)], terminal=peer)
+            assert fab.dump() == once
+
+    def test_backup_first_hop_needs_a_protected_edge(self):
+        fab = SwitchFabric(star(2))
+        inst = FlowInstaller(fab, "g")
+        with pytest.raises(DataplaneError, match="backup tree 3 has no protected edge"):
+            inst.compile_path(_Tree("S", tag=3, protects=None), [("S", "p1")])
+        assert fab.switches["S"].groups == {}
 
     def test_remove_terminal_only(self):
         fab = SwitchFabric(star(2))

@@ -3,6 +3,7 @@ import heapq
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -152,6 +153,24 @@ class TestLoadTopology:
     def test_non_string_endpoint(self, pair):
         with pytest.raises(TopologyError, match="node id strings"):
             load_topology({"nodes": ["A", "B"], "links": [pair]})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": ["A"],', "topology file is not valid JSON"),
+        ('[["A", "B"]]', "topology document must be a mapping"),
+        ('{"nodes": [], "links": []}', "'nodes' must be a non-empty list"),
+        ('{"nodes": "AB", "links": []}', "'nodes' must be a non-empty list"),
+        ('{"nodes": ["A", ""], "links": []}', "node id must be a non-empty string, got ''"),
+        ('{"nodes": ["A", 7], "links": []}', "node id must be a non-empty string, got 7"),
+        ('{"nodes": ["A", "B", "A"], "links": []}', "duplicate node ids"),
+        ('{"nodes": ["A", "B"], "links": {"A": "B"}}', "'links' must be a list"),
+        ('{"nodes": ["A", "B"], "links": [["A", "B", "A"]]}', "link entry must be a pair, got"),
+        ('{"nodes": ["A", "B"], "links": ["AB"]}', "link entry must be a pair, got 'AB'"),
+    ])
+    def test_malformed_file(self, tmp_path, text, message):
+        p = tmp_path / "t.json"
+        p.write_text(text)
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            load_topology(p)
 
     def test_missing_keys(self):
         with pytest.raises(TopologyError):
@@ -429,6 +448,15 @@ class TestAvoid:
         for strategy in ("spt", "dst"):
             with pytest.raises(TopologyError, match=message):
                 join(net, MulticastTree(root="AT"), "UK", strategy, {bad})
+
+    @pytest.mark.parametrize("search", [
+        lambda net: shortest_path(net, "XX", "UK"),
+        lambda net: shortest_path(net, "AT", "XX"),
+        lambda net: bfs_distances(net, "XX"),
+    ], ids=["shortest_path-src", "shortest_path-dst", "bfs_distances"])
+    def test_unknown_node_rejected(self, search):
+        with pytest.raises(TopologyError, match="unknown node 'XX'"):
+            search(geant())
 
     def test_avoided_link_unused(self):
         net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]})

@@ -48,11 +48,14 @@ class TestApplyPath:
         with pytest.raises(InvalidPathError):
             apply_path(t, [("A", "B"), ("C", "D")])
 
-    def test_existing_edges_tolerated(self):
+    def test_existing_edges_rejected(self):
+        # a join returns only the edges it adds, so an edge already on the
+        # tree means the path was not a join's
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
-        apply_path(t, [("A", "B"), ("B", "C")])
-        assert t.parent["C"] == "B"
+        with pytest.raises(InvalidPathError, match="path enters 'B', which is already on the tree"):
+            apply_path(t, [("A", "B"), ("B", "C")])
+        assert t.parent == {"B": "A"}
 
     def test_second_parent_rejected(self):
         t = MulticastTree(root="A")
@@ -60,20 +63,14 @@ class TestApplyPath:
         with pytest.raises(InvalidPathError):
             apply_path(t, [("A", "D"), ("D", "C")])
 
-    def test_returns_the_added_edges(self):
-        t = MulticastTree(root="A")
-        assert apply_path(t, [("A", "B")]) == [("A", "B")]
-        assert apply_path(t, [("A", "B"), ("B", "C"), ("C", "D")]) == [("B", "C"), ("C", "D")]
-        assert apply_path(t, [("A", "B"), ("B", "C")]) == []
-        assert apply_path(t, []) == []
-        assert t.fanout == {"A": 1, "B": 1, "C": 1}
-
     @pytest.mark.parametrize("path", [
         [("A", "B"), ("B", "C")],  # C already hangs off D
         [("A", "B"), ("B", "E"), ("E", "B")],  # comes back to a node it added
         [("A", "B"), ("B", "E"), ("E", "F"), ("F", "B")],
         [("A", "B"), ("B", "A")],  # into the root
         [("A", "B"), ("C", "E")],  # breaks after an edge it would add
+        [("A", "D"), ("D", "E")],  # re-walks an existing edge
+        [("C", "E"), ("E", "D")],  # enters a node already on the tree
     ])
     def test_rejected_path_leaves_the_tree_alone(self, path):
         t = MulticastTree(root="A")
@@ -115,7 +112,8 @@ class TestSptJoin:
         net = square()
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
-        assert spt_join(net, t, "B") is None
+        assert spt_join(net, t, "B") == []
+        assert spt_join(net, t, "A") == []
 
     def test_unreachable(self):
         net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"]]})
@@ -150,7 +148,7 @@ class TestSptJoin:
             rng.shuffle(order)
             for v in order:
                 got = spt_join(net, t, v, avoid)
-                assert got == (None if v in t.nodes else reference(sub, t, v))
+                assert got == ([] if v in t.nodes else reference(sub, t, v))
                 if got:
                     apply_path(t, got)
 
@@ -165,11 +163,8 @@ class TestSptJoin:
             order = [v for v in net.nodes if v != src]
             rng.shuffle(order)
             for v in order[: rng.randint(1, len(order))]:
-                got = spt_join(net, t, v)
-                if got is None:
-                    assert v in t.nodes  # absorbed earlier as a transit switch
-                else:
-                    apply_path(t, got)
+                # [] when v was absorbed earlier as a transit switch
+                apply_path(t, spt_join(net, t, v))
                 # transit prefixes of discounted-cost paths stay hop-minimal too
                 assert len(t.path_to(v)) == dist[v]
 
@@ -192,14 +187,14 @@ class TestDstJoin:
         })
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B"), ("B", "C")])
-        assert dst_join(net, t, "D") == [("A", "B"), ("B", "C"), ("C", "D")]
+        # the graft through the tree: only the segment past C is new
+        assert dst_join(net, t, "D") == [("C", "D")]
 
-    def test_none_when_present_or_unreachable(self):
+    def test_empty_when_present_none_when_unreachable(self):
         net = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"]]})
         t = MulticastTree(root="A")
-        assert dst_join(net, t, "A") is None
+        assert dst_join(net, t, "A") == []
         assert dst_join(net, t, "C") is None
-
 
     def test_avoid_matches_subgraph(self):
         for seed in range(60):
@@ -215,6 +210,70 @@ class TestDstJoin:
                 assert got == dst_join(sub, t, v)
                 if got:
                     apply_path(t, got)
+
+
+class TestJoinContract:
+    """Every join returns exactly the edges it adds: a chain from a tree node
+    into nodes not yet on the tree, [] when v is on the tree, and None only
+    when v is unreachable."""
+
+    @staticmethod
+    def check(net, tree, v, avoid, got, kinds):
+        if got is None:
+            assert v not in tree.nodes
+            assert bfs_distances(net, tree.root, avoid).get(v) is None
+        elif not got:
+            assert v in tree.nodes
+        else:
+            assert v not in tree.nodes
+            assert got[0][0] in tree.nodes
+            heads = [b for _, b in got]
+            assert heads[-1] == v and len(set(heads)) == len(heads)
+            assert not tree.nodes & set(heads)
+        kinds.add("unreachable" if got is None else "graft" if got else "member")
+
+    @staticmethod
+    def graphs():
+        yield "geant", geant(), "AT"
+        for seed in range(12):
+            rng = random.Random(seed)
+            net = rand_connected(rng, rng.randint(4, 14), rng.randint(0, 5))
+            yield f"rand{seed}", net, rng.choice(net.nodes)
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_avoid_is_the_trees_down_set(self, strategy, monkeypatch):
+        # every join a group build makes, checked before the tree takes it
+        kinds = set()
+        real = protection.join
+
+        def spy(net, tree, v, strategy, avoid):
+            got = real(net, tree, v, strategy, avoid)
+            self.check(net, tree, v, avoid, got, kinds)
+            return got
+
+        monkeypatch.setattr(protection, "join", spy)
+        for name, net, source in self.graphs():
+            gs = GroupState(net, source, ProtectionConfig(strategy, 2))
+            order = [v for v in net.nodes if v != source]
+            random.Random(name).shuffle(order)
+            for v in order:
+                protect_join(gs, v)
+        assert kinds == {"unreachable", "member", "graft"}
+
+    @pytest.mark.parametrize("strategy", ["spt", "dst"])
+    def test_arbitrary_avoid(self, strategy):
+        kinds = set()
+        for name, net, source in self.graphs():
+            rng = random.Random(name)
+            links = sorted(net.links)
+            t = MulticastTree(root=source)
+            for v in rng.sample(net.nodes, len(net.nodes)):
+                avoid = frozenset(rng.sample(links, rng.randint(0, min(3, len(links)))))
+                got = join(net, t, v, strategy, avoid)
+                self.check(net, t, v, avoid, got, kinds)
+                if got:
+                    apply_path(t, got)
+        assert kinds == {"unreachable", "member", "graft"}
 
 
 class TestSearchCount:
@@ -245,15 +304,15 @@ class TestSearchCount:
     def test_dst_searches_once_after_bfs(self, calls):
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
-        assert join(square(), t, "C", "dst") == [("A", "B"), ("B", "C")]
+        assert join(square(), t, "C", "dst") == [("B", "C")]
         assert calls == ["bfs_distances", "shortest_path"]
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_member_join_searches_nothing(self, calls, strategy):
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
-        assert join(square(), t, "B", strategy) is None
-        assert join(square(), t, "A", strategy) is None
+        assert join(square(), t, "B", strategy) == []
+        assert join(square(), t, "A", strategy) == []
         assert calls == []
 
 
