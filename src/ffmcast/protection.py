@@ -132,7 +132,7 @@ def _attach(gs: GroupState, tree: MulticastTree, v: str) -> bool:
     the edges the join adds and v's host delivery; False if v is unreachable.
     """
     gs.join_calls += 1
-    path = join(gs.net, tree, v, gs.config.strategy, tree.down)
+    path = join(gs.net, tree, v, gs.config.strategy)
     if path is None:
         return False
     apply_path(tree, path)

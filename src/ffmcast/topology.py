@@ -46,17 +46,18 @@ class Link(_Endpoints):
 
 
 class Network:
-    """Immutable undirected graph with sorted adjacency.
+    """Undirected graph with sorted adjacency; its nodes and links never change.
 
     HOST names every switch's host port, so no node may take that name.
     A set of links is an int mask: bit[link] is 1 << i for the link's
     position i in sorted(links), keyed under both orientations so a directed
     tree edge (a, b) finds its link directly; mask() encodes a set.
 
-    shortest_path memoises its reach, the hop distances from a source around
-    an avoid set, per (source, avoid) pair. A Network never changes, so the
-    memo is never invalidated; it grows with the distinct pairs searched,
-    about 4 MB for a 12x12 grid group built at F=2.
+    The one mutable part is _reach: shortest_path memoises there its reach,
+    the hop distances from a source around an avoid set, per (source, avoid)
+    pair. The graph never changes, so the memo is never invalidated; it
+    grows with the distinct pairs searched, about 4 MB for a 12x12 grid
+    group built at F=2.
     """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):
@@ -188,19 +189,19 @@ def shortest_path(
     net: Network,
     src: str,
     dst: str,
-    prefer: Mapping[str, str] | None = None,
+    parent: Mapping[str, str] | None = None,
     avoid: Iterable[Link] = frozenset(),
 ) -> list[str] | None:
     """Best src-to-dst path that uses no link in avoid, or None if unreachable.
 
-    prefer maps a node to a neighbour (spt passes the tree's child -> parent
-    map); a link between a node and its prefer entry is preferred, in either
-    direction. Paths rank by fewest hops, then most preferred links, then the
-    lexicographically smallest node sequence. That is the order a Dijkstra
-    search with lexicographic tie-break gives under costs E for a preferred
-    link and E + 1 for any other, E = len(prefer): a simple path of h hops
-    and k <= E preferred links costs h(E + 1) - k. The tests keep that
-    search as this one's oracle.
+    parent is the child -> parent map of a shortest-path tree rooted at src
+    around avoid (spt passes its tree's): every tree node's entry is a
+    neighbour one hop nearer src, over a link not in avoid. Paths rank by
+    fewest hops, then most tree links, then the lexicographically smallest
+    node sequence. That is the order a Dijkstra search with lexicographic
+    tie-break gives under costs E for a tree link and E + 1 for any other,
+    E = len(parent): a simple path of h hops and k <= E tree links costs
+    h(E + 1) - k. The tests keep that search as this one's oracle.
 
     avoid holds links of the network, each in either orientation; anything
     else raises TopologyError. The network memoises the hop distances from
@@ -211,17 +212,22 @@ def shortest_path(
     The search then walks back from dst over the shortest-path DAG, one
     layer of predecessors at a time, each predecessor taking as successor
     the first in name order of the nodes it leads to. It stops at the first
-    layer that holds a prefer key, or at src. When neither src nor dst has
-    an entry, a path of preferred links can only follow prefer entries down
-    to src, one layer per step, and no link above that layer is preferred.
-    So the best path is the smallest such chain from a key of that layer,
-    then the successors to dst. When src or dst has an entry, a key of that
-    layer points one layer up, or no key has such a chain, _rank ranks the
-    whole DAG instead.
+    layer that holds a tree node, dst's own layer included; src's layer
+    always does. Tree links join consecutive layers, so no path has more
+    tree links than that layer's depth, and a path that has as many takes a
+    tree path to one of its nodes. The best path is the smallest of those
+    tree paths, then the successors to dst. A tree path read on the way
+    that does not reach src one layer per step over links not in avoid, or
+    an entry for src itself, raises ValueError: parent is then not a
+    shortest-path tree of src around avoid.
     """
     for node in (src, dst):
         if node not in net:
             raise TopologyError(f"unknown node {node!r}")
+    if parent is None:
+        parent = {}
+    elif src in parent:
+        raise ValueError(f"{src!r} has a parent: not a shortest-path tree of its root around avoid")
     if src == dst:
         return [src]
     avoid = frozenset(avoid)
@@ -244,13 +250,12 @@ def shortest_path(
                     dist[nxt] = hops
                     reached.append(nxt)
         reach[1] = frontier = reached
-    if prefer is None:
-        prefer = {}
-    if src in prefer or dst in prefer:
-        return _rank(net, src, dst, prefer, dist, banned)
     succ: dict[str, str] = {}
     layer = [dst]
-    for left in range(dist[dst] - 1, -1, -1):
+    left = dist[dst]
+    keys = parent.keys() & layer
+    while not keys and left:
+        left -= 1
         below = []
         for node in layer:
             skip = banned.get(node, ())
@@ -263,14 +268,8 @@ def shortest_path(
                     elif node < old:
                         succ[pre] = node
         layer = below
-        keys = prefer.keys() & layer
-        if keys:
-            path = _chain(net, keys, left, prefer, dist, banned)
-            if path is None:
-                return _rank(net, src, dst, prefer, dist, banned)
-            break
-    else:
-        path = [src]
+        keys = parent.keys() & layer
+    path = _tree_path(net, keys, left, parent, dist, banned) if keys else [src]
     node = path[-1]
     while node != dst:
         node = succ[node]
@@ -278,81 +277,33 @@ def shortest_path(
     return path
 
 
-def _chain(
+def _tree_path(
     net: Network,
     keys: Iterable[str],
     left: int,
-    prefer: Mapping[str, str],
-    dist: dict[str, int],
-    banned: dict[str, set[str]],
-) -> list[str] | None:
-    """The smallest src-to-key path of prefer entries among keys at hop left,
-    each entry one hop nearer src over a link not avoided; None when a key
-    points one hop further or no key has such a path."""
-    best = None
-    for key in keys:
-        if dist.get(prefer[key]) == left + 1:
-            return None
-        chain = [key]
-        node = key
-        for hops in range(left - 1, -1, -1):
-            up = prefer.get(node)
-            if up is None or dist.get(up) != hops or (node, up) not in net.bit or up in banned.get(node, ()):
-                break
-            chain.append(up)
-            node = up
-        else:
-            chain.reverse()
-            if best is None or chain < best:
-                best = chain
-    return best
-
-
-def _rank(
-    net: Network,
-    src: str,
-    dst: str,
-    prefer: Mapping[str, str],
+    parent: Mapping[str, str],
     dist: dict[str, int],
     banned: dict[str, set[str]],
 ) -> list[str]:
-    """The full ranking over the shortest-path DAG of dist.
-
-    A pass back from dst gives each DAG node the most preferred links it can
-    still collect on the way to dst, and as its successor the first in name
-    order of the next-layer nodes that keep that maximum. Following
-    successors from src takes, at every step, the smallest next node of a
-    best path, so it yields the lexicographically smallest of them.
-    """
-    adj = net._adj
-    gain = {dst: 0}
-    succ = {}
-    layer = [dst]
-    for left in range(dist[dst] - 1, -1, -1):
-        below = []
-        for node in layer:
-            k = gain[node]
-            up = prefer.get(node)
-            skip = banned.get(node, ())
-            for pre in adj[node]:
-                if dist.get(pre) != left or pre in skip:
-                    continue
-                g = k + 1 if up == pre or prefer.get(pre) == node else k
-                old = gain.get(pre)
-                if old is None:
-                    gain[pre] = g
-                    succ[pre] = node
-                    below.append(pre)
-                elif g > old or g == old and node < succ[pre]:
-                    gain[pre] = g
-                    succ[pre] = node
-        layer = below
-    path = [src]
-    node = src
-    while node != dst:
-        node = succ[node]
-        path.append(node)
-    return path
+    """The smallest tree path among keys at hop left, each step one hop
+    nearer src over a link not avoided; ValueError for a key without one."""
+    best = None
+    for key in keys:
+        chain = [key]
+        node = key
+        for hops in range(left - 1, -1, -1):
+            up = parent.get(node)
+            if up is None or dist.get(up) != hops or (node, up) not in net.bit or up in banned.get(node, ()):
+                raise ValueError(
+                    f"the tree path of {key!r} breaks at {node!r}: "
+                    "not a shortest-path tree of its root around avoid"
+                )
+            chain.append(up)
+            node = up
+        chain.reverse()
+        if best is None or chain < best:
+            best = chain
+    return best
 
 
 def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -> dict[str, int]:

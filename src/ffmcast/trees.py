@@ -9,7 +9,7 @@ onto the nearest tree node.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import InvalidPathError
@@ -29,7 +29,8 @@ class MulticastTree:
     this tree stamps it. terminals are the switches whose host receives the
     stream from this tree; protects records which edge of which parent tree
     this tree is the backup for, and down the links it assumes failed: the
-    parent's down plus that edge. Joins onto the tree route around them.
+    parent's down plus that edge. Every join onto the tree routes around
+    them, so an spt tree is a shortest-path tree of its root around down.
     fanout counts each node's children; a node with none is absent.
     """
 
@@ -88,47 +89,39 @@ def apply_path(tree: MulticastTree, path: PathEdges) -> None:
         tree.fanout[a] = tree.fanout.get(a, 0) + 1
 
 
-def spt_join(
-    net: Network, tree: MulticastTree, v: str, avoid: Iterable[Link] = frozenset()
-) -> PathEdges | None:
-    """Minimum-hop join biased to reuse tree links, skipping links in avoid.
+def spt_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
+    """Minimum-hop join biased to reuse tree links, around tree.down.
 
-    Searches from the tree root preferring tree links, so paths rank by
+    Searches from the tree root with the tree's parent map, so paths rank by
     fewest hops, then most reused tree links, then the lexicographically
     smallest node sequence. That is the ranking of a cheapest-path search
     with exact integer costs E for a tree link and E + 1 for any other,
     where E is the tree's edge count: a path of h hops using k tree links
     costs h(E + 1) - k with 0 <= k <= E, so no reuse buys a hop. The tests
-    check this search against that one. Returns the edges after the last
-    node already in the tree, [] if v is in the tree, or None if v is
-    unreachable.
+    check this search against that one. Every join grows the tree by such a
+    path around the same down set, so the tree stays a shortest-path tree of
+    its root around tree.down, as the search requires. Returns the edges
+    after the path last leaves the tree ([] if v is in the tree), or None if
+    v is unreachable.
     """
-    if v in tree.nodes:
-        return []
-    nodes = shortest_path(net, tree.root, v, tree.parent, avoid)
+    nodes = shortest_path(net, tree.root, v, tree.parent, tree.down)
     if nodes is None:
         return None
-    anchor = 0
-    for i, node in enumerate(nodes):
-        if node in tree.nodes:
-            anchor = i
+    anchor = len(nodes) - 1
+    while nodes[anchor] not in tree.nodes:
+        anchor -= 1
     return [(nodes[i], nodes[i + 1]) for i in range(anchor, len(nodes) - 1)]
 
 
-def dst_join(
-    net: Network, tree: MulticastTree, v: str, avoid: Iterable[Link] = frozenset()
-) -> PathEdges | None:
-    """Graft v onto the nearest tree node, skipping links in avoid.
+def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
+    """Graft v onto the nearest tree node, around tree.down.
 
     Picks the tree node w with minimum hop distance to v (ties go to the
     lexicographically smallest w) and returns the edges of a shortest w-to-v
     segment; no other tree node is on it, since w is nearest. Returns [] if
     v is in the tree, or None if v is unreachable.
     """
-    if v in tree.nodes:
-        return []
-    avoid = frozenset(avoid)
-    dist = bfs_distances(net, v, avoid)
+    dist = bfs_distances(net, v, tree.down)
     best: tuple[int, str] | None = None
     for w in tree.nodes:
         d = dist.get(w)
@@ -139,7 +132,7 @@ def dst_join(
     if best is None:
         return None
     w = best[1]
-    segment = shortest_path(net, w, v, avoid=avoid)
+    segment = shortest_path(net, w, v, avoid=tree.down)
     assert segment is not None
     return [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
 
@@ -161,16 +154,19 @@ def backup_steps(tree: MulticastTree, v: str) -> Iterator[MulticastTree]:
 JOIN_STRATEGIES = {"spt": spt_join, "dst": dst_join}
 
 
-def join(
-    net: Network, tree: MulticastTree, v: str, strategy: str, avoid: Iterable[Link] = frozenset()
-) -> PathEdges | None:
-    """Dispatch to a named join strategy; links in avoid are treated as down.
+def join(net: Network, tree: MulticastTree, v: str, strategy: str) -> PathEdges | None:
+    """Dispatch to a named join strategy, routing around tree.down.
 
     Every strategy returns exactly the edges to add, from a tree node to v:
     [] when v is already in the tree, None only when v is unreachable.
+    tree.down must hold links of the network (TopologyError otherwise),
+    checked for members too.
     """
     try:
         fn = JOIN_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown join strategy {strategy!r}") from None
-    return fn(net, tree, v, avoid)
+    if v in tree.nodes:
+        net.mask(tree.down)
+        return []
+    return fn(net, tree, v)

@@ -7,7 +7,6 @@ import re
 
 import pytest
 
-from ffmcast import topology
 from ffmcast.errors import TopologyError
 from ffmcast.topology import (
     Link,
@@ -20,23 +19,7 @@ from ffmcast.topology import (
     without_links,
 )
 from ffmcast.trees import MulticastTree, apply_path, join, spt_join
-
-
-def rand_connected(rng, n, extra=None):
-    nodes = [f"v{i:02d}" for i in range(n)]
-    links = [[nodes[i], nodes[rng.randrange(i)]] for i in range(1, n)]
-    for _ in range(n if extra is None else extra):
-        a, b = rng.sample(nodes, 2)
-        links.append([a, b])
-    return load_topology({"nodes": nodes, "links": links})
-
-
-def grid(side):
-    name = lambda r, c: f"g{r:02d}{c:02d}"
-    nodes = [name(r, c) for r in range(side) for c in range(side)]
-    links = [[name(r, c), name(r, c + 1)] for r in range(side) for c in range(side - 1)]
-    links += [[name(r, c), name(r + 1, c)] for r in range(side - 1) for c in range(side)]
-    return load_topology({"nodes": nodes, "links": links})
+from tests.churn_digest import grid, rand_connected  # noqa: F401  (re-exported for the other test modules)
 
 
 def neighbours(net, node):
@@ -68,16 +51,21 @@ def reference_path(net, src, dst, cost=None, avoid=frozenset()):
     return None
 
 
-def prefer_cost(prefer):
-    """shortest_path's exact integer pricing: E = len(prefer) per preferred
-    link, E + 1 per other link."""
-    edges = len(prefer)
-    return lambda a, b: edges if prefer.get(b) == a or prefer.get(a) == b else edges + 1
-
-
 def tree_cost(tree):
-    """spt's exact integer pricing: E per tree link, E + 1 per other link."""
-    return prefer_cost(tree.parent)
+    """spt's exact integer pricing: E = len(tree.parent) per tree link,
+    E + 1 per other link."""
+    parent, edges = tree.parent, len(tree.parent)
+    return lambda a, b: edges if parent.get(b) == a or parent.get(a) == b else edges + 1
+
+
+def grown(net, root, avoid, joins):
+    """A tree from root grown by spt_join around avoid, joining nodes in order."""
+    tree = MulticastTree(root=root, down=frozenset(avoid))
+    for v in joins:
+        got = spt_join(net, tree, v)
+        if got:
+            apply_path(tree, got)
+    return tree
 
 
 class TestLink:
@@ -245,21 +233,20 @@ class TestShortestPath:
         assert shortest_path(net, "n1", "n1") == ["n1"]
 
     def test_prefer_ranks_between_hops_and_names(self):
+        # parent maps of shortest-path trees rooted at A
         net = load_topology({
             "nodes": ["A", "B", "C", "D"],
             "links": [["A", "B"], ["B", "D"], ["A", "C"], ["C", "D"]],
         })
-        # equal hops: the preferred link beats the lexicographic order,
-        # in either direction of the prefer entry
+        # equal hops: the tree link beats the lexicographic order
         assert shortest_path(net, "A", "D", {"C": "A"}) == ["A", "C", "D"]
-        assert shortest_path(net, "A", "D", {"C": "D"}) == ["A", "C", "D"]
-        # two preferred links beat one
+        # a dst on the tree gets its tree path back: two tree links beat one
         assert shortest_path(net, "A", "D", {"B": "A", "C": "A", "D": "C"}) == ["A", "C", "D"]
-        # equal preferred links fall back to names
+        # equal tree links fall back to names
         assert shortest_path(net, "A", "D", {"B": "A", "C": "A"}) == ["A", "B", "D"]
-        # preference never buys an extra hop
+        # a tree link never buys an extra hop
         tri = load_topology({"nodes": ["A", "B", "C"], "links": [["A", "B"], ["B", "C"], ["A", "C"]]})
-        assert shortest_path(tri, "A", "C", {"B": "A", "C": "B"}) == ["A", "C"]
+        assert shortest_path(tri, "A", "C", {"B": "A"}) == ["A", "C"]
 
     def test_hops_match_bfs_oracle(self):
         for seed in range(60):
@@ -280,8 +267,8 @@ class TestShortestPath:
             assert Link(a, b) in net.links
 
     def test_matches_dijkstra_oracle(self):
-        # unit costs without prefer, spt's E / E + 1 costs with prefer=parent,
-        # on trees grown by spt_join around random avoided links
+        # unit costs without parent, spt's E / E + 1 costs with the parent map
+        # of a tree grown by spt_join from src around the same avoided links
         nets = [("geant", geant()), ("grid5", grid(5)), ("grid12", grid(12))]
         rng = random.Random(11)
         for i in range(40):
@@ -292,12 +279,12 @@ class TestShortestPath:
             rounds = 1 if name == "grid12" else 3
             for _ in range(rounds):
                 avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
-                tree = MulticastTree(root=rng.choice(net.nodes))
+                tree = MulticastTree(root=rng.choice(net.nodes), down=frozenset(avoid))
                 order = list(net.nodes)
                 rng.shuffle(order)
                 for v in [None] + order[: rng.randint(1, 8)]:
                     if v is not None:
-                        got = spt_join(net, tree, v, avoid)
+                        got = spt_join(net, tree, v)
                         if got:
                             apply_path(tree, got)
                     cost = tree_cost(tree)
@@ -306,47 +293,41 @@ class TestShortestPath:
                             want = reference_path(net, src, dst, avoid=avoid)
                             assert shortest_path(net, src, dst, avoid=avoid) == want, (name, src, dst)
                             unreachable += want is None
+                        if src != tree.root:
+                            continue
+                        for dst in net.nodes:
                             want = reference_path(net, src, dst, cost, avoid)
                             got = shortest_path(net, src, dst, tree.parent, avoid)
                             assert got == want, (name, src, dst, tree.parent)
         assert unreachable > 0
 
 
-class TestFullRanking:
-    """The cases where the walk back from dst may not stop at the first layer
-    holding a prefer key. Each ranks the whole DAG; a stop that ignored the
-    case would give another path."""
+class TestNotATree:
+    """A parent map the search reads that is not a shortest-path tree of src
+    around avoid raises ValueError; no map is answered silently."""
 
     SQUARE = [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")]
     CASES = {
-        "src has an entry": (SQUARE, "A", "C", {"A": "D"}, (), ["A", "D", "C"]),
-        "dst has an entry": (SQUARE, "A", "C", {"C": "D"}, (), ["A", "D", "C"]),
-        # B's chain runs to S, but A's preferred link up to C ties with it
+        "src has an entry": (SQUARE, "A", "C", {"A": "D"}, ()),
+        "dst has an entry": (SQUARE, "A", "C", {"C": "D"}, ()),
         "a key points one layer up": (
             [("S", "A"), ("S", "B"), ("A", "C"), ("B", "C")], "S", "C", {"B": "S", "A": "C"}, (),
-            ["S", "A", "C"],
         ),
         "the only chain crosses an avoided link": (
             [("S", "P"), ("S", "Q"), ("P", "K"), ("Q", "K"), ("K", "D")], "S", "D",
-            {"K": "P", "P": "S"}, [("P", "K")], ["S", "Q", "K", "D"],
+            {"K": "P", "P": "S"}, [("P", "K")],
         ),
         "the only chain steps to a non-neighbour": (
             [("S", "P"), ("S", "R"), ("P", "K"), ("K", "D")], "S", "D", {"K": "R", "R": "S"}, (),
-            ["S", "P", "K", "D"],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_ranks_the_whole_dag(self, case, monkeypatch):
-        links, src, dst, prefer, avoid, want = self.CASES[case]
-        ranked = []
-        real = topology._rank
-        monkeypatch.setattr(topology, "_rank", lambda *args: ranked.append(args) or real(*args))
+    def test_rejected(self, case):
+        links, src, dst, parent, avoid = self.CASES[case]
         net = load_topology({"nodes": sorted({n for link in links for n in link}), "links": links})
-        avoid = {Link(*link) for link in avoid}
-        assert reference_path(net, src, dst, prefer_cost(prefer), avoid) == want
-        assert shortest_path(net, src, dst, prefer, avoid) == want
-        assert len(ranked) == 1
+        with pytest.raises(ValueError, match="not a shortest-path tree of its root around avoid"):
+            shortest_path(net, src, dst, parent, {Link(*link) for link in avoid})
 
 
 class TestReachMemo:
@@ -360,40 +341,41 @@ class TestReachMemo:
         checked = unreachable = 0
         for net in nets:
             links = sorted(net.links)
-            tree = MulticastTree(root=rng.choice(net.nodes))
-            for v in rng.sample(net.nodes, min(8, len(net.nodes))):
-                got = spt_join(net, tree, v)
-                if got:
-                    apply_path(tree, got)
+            root = rng.choice(net.nodes)
+            joins = rng.sample(net.nodes, min(8, len(net.nodes)))
             cut = rng.choice(net.nodes)
             avoids = [
                 frozenset(),
                 frozenset(rng.sample(links, rng.randint(1, min(3, len(links))))),
                 frozenset(l for l in links if cut in l),  # cut is unreachable
             ]
+            # one tree from root per avoid set, grown around it on a copy so
+            # the searches below start from an empty memo
+            trees = {avoid: grown(Network(net.nodes, net.links), root, avoid, joins) for avoid in avoids}
             queues = []
-            for src in {tree.root, rng.choice(net.nodes), rng.choice(net.nodes)}:
+            for src in {root, rng.choice(net.nodes), rng.choice(net.nodes)}:
                 for avoid in avoids:
                     dist = bfs_distances(net, src, avoid)
                     near = sorted(rng.sample(sorted(dist), min(10, len(dist))), key=lambda v: (dist[v], v))
                     lost = [v for v in net.nodes if v not in dist][:2]
-                    for prefer in (None, tree.parent):
+                    for tree in (None, trees[avoid]) if src == root else (None,):
                         # near-then-far, or far-then-near; the unreachable
                         # nodes once the reach is exhausted, then near again
                         order = near if rng.random() < 0.5 else near[::-1]
                         dsts = order + lost + lost + near[:2]
-                        queues.append([(src, dst, prefer, avoid) for dst in dsts])
+                        queues.append([(src, dst, tree, avoid) for dst in dsts])
             while queues:
                 queue = rng.choice(queues)
-                src, dst, prefer, avoid = queue.pop(0)
+                src, dst, tree, avoid = queue.pop(0)
                 if not queue:
                     queues.remove(queue)
                 if rng.random() < 0.5:
                     avoid = set(avoid)  # the memo keys by value
-                got = shortest_path(net, src, dst, prefer, avoid)
-                assert got == shortest_path(Network(net.nodes, net.links), src, dst, prefer, avoid)
-                cost = None if prefer is None else tree_cost(tree)
-                assert got == reference_path(net, src, dst, cost, avoid), (src, dst, prefer, avoid)
+                parent = None if tree is None else tree.parent
+                got = shortest_path(net, src, dst, parent, avoid)
+                assert got == shortest_path(Network(net.nodes, net.links), src, dst, parent, avoid)
+                cost = None if tree is None else tree_cost(tree)
+                assert got == reference_path(net, src, dst, cost, avoid), (src, dst, parent, avoid)
                 checked += 1
                 unreachable += got is None
         assert unreachable > 0 and checked > 1000
@@ -412,10 +394,10 @@ class TestAvoid:
     def test_shortest_path_matches_subgraph(self):
         for rng, net, avoid, sub in self.cases():
             src = rng.choice(net.nodes)
-            prefer = {v: rng.choice(neighbours(net, v)) for v in net.nodes if rng.random() < 0.5}
+            parent = grown(net, src, avoid, rng.sample(net.nodes, rng.randint(1, len(net.nodes)))).parent
             for dst in net.nodes:
                 assert shortest_path(net, src, dst, avoid=avoid) == shortest_path(sub, src, dst)
-                assert shortest_path(net, src, dst, prefer, avoid) == shortest_path(sub, src, dst, prefer)
+                assert shortest_path(net, src, dst, parent, avoid) == shortest_path(sub, src, dst, parent)
 
     def test_bfs_matches_subgraph(self):
         for rng, net, avoid, sub in self.cases():
@@ -446,8 +428,10 @@ class TestAvoid:
         with pytest.raises(TopologyError, match=message):
             bfs_distances(net, "AT", [Link("AT", "HU"), bad])
         for strategy in ("spt", "dst"):
-            with pytest.raises(TopologyError, match=message):
-                join(net, MulticastTree(root="AT"), "UK", strategy, {bad})
+            for v in ("AT", "UK"):  # a member and a non-member
+                tree = MulticastTree(root="AT", down=frozenset({Link("AT", "HU"), bad}))
+                with pytest.raises(TopologyError, match=message):
+                    join(net, tree, v, strategy)
 
     @pytest.mark.parametrize("search", [
         lambda net: shortest_path(net, "XX", "UK"),

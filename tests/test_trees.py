@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffmcast import protection, topology, trees
+from ffmcast import protection, trees
 from ffmcast.errors import InvalidPathError
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join
 from ffmcast.topology import (
@@ -15,6 +15,7 @@ from ffmcast.topology import (
     without_links,
 )
 from ffmcast.trees import MulticastTree, apply_path, dst_join, join, spt_join
+from tests import churn_digest
 from tests.test_topology import grid, rand_connected, reference_path
 
 
@@ -143,11 +144,11 @@ class TestSptJoin:
             net = rand_connected(rng, rng.randint(3, 18))
             avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
             sub = without_links(net, avoid)
-            t = MulticastTree(root=rng.choice(net.nodes))
+            t = MulticastTree(root=rng.choice(net.nodes), down=frozenset(avoid))
             order = [v for v in net.nodes if v != t.root]
             rng.shuffle(order)
             for v in order:
-                got = spt_join(net, t, v, avoid)
+                got = spt_join(net, t, v)
                 assert got == ([] if v in t.nodes else reference(sub, t, v))
                 if got:
                     apply_path(t, got)
@@ -202,14 +203,17 @@ class TestDstJoin:
             net = rand_connected(rng, rng.randint(3, 16))
             avoid = set(rng.sample(sorted(net.links), rng.randint(0, 3)))
             sub = without_links(net, avoid)
-            t = MulticastTree(root=rng.choice(net.nodes))
+            # the same tree twice: around avoid, and on the subgraph without it
+            t = MulticastTree(root=rng.choice(net.nodes), down=frozenset(avoid))
+            u = MulticastTree(root=t.root)
             order = [v for v in net.nodes if v != t.root]
             rng.shuffle(order)
             for v in order:
-                got = join(net, t, v, "dst", avoid)
-                assert got == dst_join(sub, t, v)
+                got = join(net, t, v, "dst")
+                assert got == dst_join(sub, u, v)
                 if got:
                     apply_path(t, got)
+                    apply_path(u, got)
 
 
 class TestJoinContract:
@@ -218,10 +222,10 @@ class TestJoinContract:
     when v is unreachable."""
 
     @staticmethod
-    def check(net, tree, v, avoid, got, kinds):
+    def check(net, tree, v, got, kinds):
         if got is None:
             assert v not in tree.nodes
-            assert bfs_distances(net, tree.root, avoid).get(v) is None
+            assert bfs_distances(net, tree.root, tree.down).get(v) is None
         elif not got:
             assert v in tree.nodes
         else:
@@ -242,13 +246,14 @@ class TestJoinContract:
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_avoid_is_the_trees_down_set(self, strategy, monkeypatch):
-        # every join a group build makes, checked before the tree takes it
+        # every join a group build makes, around its tree's down set,
+        # checked before the tree takes it
         kinds = set()
         real = protection.join
 
-        def spy(net, tree, v, strategy, avoid):
-            got = real(net, tree, v, strategy, avoid)
-            self.check(net, tree, v, avoid, got, kinds)
+        def spy(net, tree, v, strategy):
+            got = real(net, tree, v, strategy)
+            self.check(net, tree, v, got, kinds)
             return got
 
         monkeypatch.setattr(protection, "join", spy)
@@ -262,17 +267,19 @@ class TestJoinContract:
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_arbitrary_avoid(self, strategy):
+        # trees that assume any links down, not only those a build draws
         kinds = set()
         for name, net, source in self.graphs():
             rng = random.Random(name)
             links = sorted(net.links)
-            t = MulticastTree(root=source)
-            for v in rng.sample(net.nodes, len(net.nodes)):
-                avoid = frozenset(rng.sample(links, rng.randint(0, min(3, len(links)))))
-                got = join(net, t, v, strategy, avoid)
-                self.check(net, t, v, avoid, got, kinds)
-                if got:
-                    apply_path(t, got)
+            for _ in range(3):
+                down = frozenset(rng.sample(links, rng.randint(0, min(3, len(links)))))
+                t = MulticastTree(root=source, down=down)
+                for v in rng.sample(net.nodes, len(net.nodes)):
+                    got = join(net, t, v, strategy)
+                    self.check(net, t, v, got, kinds)
+                    if got:
+                        apply_path(t, got)
         assert kinds == {"unreachable", "member", "graft"}
 
 
@@ -298,7 +305,9 @@ class TestSearchCount:
         assert join(square(), t, "C", "spt") == [("B", "C")]
         assert calls == ["shortest_path"]
         calls.clear()
-        assert join(square(), t, "C", "spt", {Link("B", "C"), Link("C", "D")}) is None
+        cut = MulticastTree(root="A", down=frozenset({Link("B", "C"), Link("C", "D")}))
+        apply_path(cut, [("A", "B")])
+        assert join(square(), cut, "C", "spt") is None
         assert calls == ["shortest_path"]
 
     def test_dst_searches_once_after_bfs(self, calls):
@@ -318,15 +327,15 @@ class TestSearchCount:
 
 class TestReachMemo:
     def test_memo_keys_are_the_searched_root_avoid_pairs(self, monkeypatch):
-        # a key that took in the prefer map or the tree would hold more entries
+        # a key that took in the parent map or the tree would hold more entries
         net = grid(12)
         gs = GroupState(net, "g0000", ProtectionConfig("spt", 2))
         searched = []
         real = trees.shortest_path
 
-        def spy(net, src, dst, prefer=None, avoid=frozenset()):
+        def spy(net, src, dst, parent=None, avoid=frozenset()):
             searched.append((src, frozenset(avoid)))
-            return real(net, src, dst, prefer, avoid)
+            return real(net, src, dst, parent, avoid)
 
         monkeypatch.setattr(trees, "shortest_path", spy)
         order = [v for v in net.nodes if v != gs.source]
@@ -338,22 +347,31 @@ class TestReachMemo:
 
 
 class TestSearchShortcut:
-    """Group builds never rank the whole shortest-path DAG: an spt tree's
-    prefer keys chain to its root one layer per step, and dst searches have
-    no prefer map, so every search stops at the first layer holding a key."""
+    """Group builds never need the whole shortest-path DAG ranked: an spt
+    tree is a shortest-path tree of its root around its down set, so each
+    search stops at the first layer holding a tree node, and a tree that
+    broke this would raise ValueError there. dst searches pass no tree."""
 
     @pytest.mark.parametrize("topo, strategy", [("grid", "spt"), ("geant", "spt"), ("geant", "dst")])
-    def test_builds_stop_at_the_first_tree_layer(self, topo, strategy, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("ranked the whole DAG")
-
-        monkeypatch.setattr(topology, "_rank", refuse)
+    def test_builds_stop_at_the_first_tree_layer(self, topo, strategy):
         net, source = (grid(12), "g0000") if topo == "grid" else (geant(), "AT")
         gs = GroupState(net, source, ProtectionConfig(strategy, 2))
         order = [v for v in net.nodes if v != source]
         random.Random(7).shuffle(order)
         for v in order:
             assert protect_join(gs, v)
+
+
+class TestChurnDigest:
+    """Seeded join/leave churn on geant, a grid and random graphs, under spt
+    and dst at F=0..3, hashes to the pinned digest: a change that alters
+    any operation's result, switch state, unprotected entries, join count
+    or tag count changes it. An spt tree that broke the shortest-path
+    invariant would raise ValueError in its search."""
+
+    def test_matches_the_pin(self):
+        digest = "5134e9af1be9565f6473269d3e3f57974414391108e13c4e4321ae5ff96e6b8c"
+        assert churn_digest.run() == (digest, 9480)
 
 
 class TestSearchAvoid:
@@ -366,14 +384,14 @@ class TestSearchAvoid:
         searched = []
         real_join, real_search = protection.join, trees.shortest_path
 
-        def join_spy(net, tree, v, strategy, avoid):
+        def join_spy(net, tree, v, strategy):
             growing.append(tree)
-            return real_join(net, tree, v, strategy, avoid)
+            return real_join(net, tree, v, strategy)
 
-        def search_spy(net, src, dst, prefer=None, avoid=frozenset()):
+        def search_spy(net, src, dst, parent=None, avoid=frozenset()):
             assert avoid is growing[-1].down
             searched.append(len(avoid))
-            return real_search(net, src, dst, prefer, avoid)
+            return real_search(net, src, dst, parent, avoid)
 
         monkeypatch.setattr(protection, "join", join_spy)
         monkeypatch.setattr(trees, "shortest_path", search_spy)
@@ -391,20 +409,29 @@ class TestDispatch:
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_avoid_may_be_any_iterable(self, strategy):
-        # dst reads avoid twice (nearest tree node, then the segment search)
-        for make in (iter, list, set):
-            got = join(square(), MulticastTree(root="A"), "C", strategy, make([Link("B", "C")]))
-            assert got == [("A", "D"), ("D", "C")], make
+        # a tree's down set, read more than once per dst join (nearest tree
+        # node, then the segment search), may hold Links or plain pairs
+        # either way round in any collection
+        def makes(links):
+            yield frozenset(links)
+            yield list(links)
+            yield {(b, a) for a, b in links}
+
+        for down in makes([Link("B", "C")]):
+            got = join(square(), MulticastTree(root="A", down=down), "C", strategy)
+            assert got == [("A", "D"), ("D", "C")], down
         for seed in range(30):
             rng = random.Random(seed)
             net = rand_connected(rng, rng.randint(3, 14))
             avoid = rng.sample(sorted(net.links), rng.randint(1, 3))
-            t = MulticastTree(root=rng.choice(net.nodes))
+            root = rng.choice(net.nodes)
+            ts = [MulticastTree(root=root, down=down) for down in makes(avoid)]
             for v in rng.sample(net.nodes, len(net.nodes)):
-                got = [join(net, t, v, strategy, make(avoid)) for make in (iter, list, set)]
+                got = [join(net, t, v, strategy) for t in ts]
                 assert got[0] == got[1] == got[2], (seed, v)
                 if got[0]:
-                    apply_path(t, got[0])
+                    for t in ts:
+                        apply_path(t, got[0])
 
     def test_unknown_strategy(self):
         net = complete_graph(4)
