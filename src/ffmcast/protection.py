@@ -29,8 +29,16 @@ class ProtectionConfig:
     def __post_init__(self) -> None:
         if self.strategy not in JOIN_STRATEGIES:
             raise ValueError(f"unknown join strategy {self.strategy!r}")
-        if self.max_failures < 0:
-            raise ValueError("max_failures must be >= 0")
+        require_count("max_failures", self.max_failures)
+
+
+def require_count(name: str, value: object) -> None:
+    """Reject a budget that is not an int >= 0, naming it: a bool, a float
+    or a str raises ValueError here rather than deep in a later call."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 class GroupState:

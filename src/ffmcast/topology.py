@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -328,3 +328,38 @@ def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist
+
+
+def nearest(net: Network, src: str, targets: Container[str], avoid: Iterable[Link] = frozenset()) -> str | None:
+    """The node of targets nearest src without the links in avoid, ties to
+    the smallest name, or None if no target is reachable.
+
+    A breadth-first search from src that stops at the first layer holding a
+    target; it picks what the smallest (bfs_distances(net, src, avoid)[w], w)
+    over the reachable targets w picks. avoid is checked as there.
+    """
+    if src not in net:
+        raise TopologyError(f"unknown node {src!r}")
+    avoid = tuple(avoid)
+    net.mask(avoid)
+    if src in targets:
+        return src
+    adj = net._adj
+    banned = _banned(avoid)
+    seen = {src}
+    layer = [src]
+    while layer:
+        found = []
+        below = []
+        for node in layer:
+            skip = banned.get(node, ())
+            for nxt in adj[node]:
+                if nxt not in seen and nxt not in skip:
+                    seen.add(nxt)
+                    below.append(nxt)
+                    if nxt in targets:
+                        found.append(nxt)
+        if found:
+            return min(found)
+        layer = below
+    return None

@@ -13,7 +13,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import InvalidPathError
-from .topology import Link, Network, bfs_distances, shortest_path
+# bfs_distances is unused here but stays importable: perfbench's tracer wraps it by name
+from .topology import Link, Network, bfs_distances, nearest, shortest_path  # noqa: F401
 
 # A path is an ordered list of directed (parent, child) edges.
 PathEdges = list[tuple[str, str]]
@@ -117,21 +118,14 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     """Graft v onto the nearest tree node, around tree.down.
 
     Picks the tree node w with minimum hop distance to v (ties go to the
-    lexicographically smallest w) and returns the edges of a shortest w-to-v
-    segment; no other tree node is on it, since w is nearest. Returns [] if
-    v is in the tree, or None if v is unreachable.
+    lexicographically smallest w), by a breadth-first search from v that
+    stops at the first layer holding a tree node, and returns the edges of a
+    shortest w-to-v segment; no other tree node is on it, since w is
+    nearest. Returns [] if v is in the tree, or None if v is unreachable.
     """
-    dist = bfs_distances(net, v, tree.down)
-    best: tuple[int, str] | None = None
-    for w in tree.nodes:
-        d = dist.get(w)
-        if d is None:
-            continue
-        if best is None or (d, w) < best:
-            best = (d, w)
-    if best is None:
+    w = nearest(net, v, tree.nodes, tree.down)
+    if w is None:
         return None
-    w = best[1]
     segment = shortest_path(net, w, v, avoid=tree.down)
     assert segment is not None
     return [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]

@@ -9,6 +9,12 @@ random connected graphs of 5-16 nodes, under spt and dst, at F=0..3. A join
 that runs out of tags is rolled back and hashed as such. The total digest
 hashes the per-configuration ones in order.
 
+A second stream checks the walks. After every 10th operation of a
+configuration with F <= 2 it runs verify_tolerance and hashes the
+ToleranceReport, every delivery_rows row and the `read` mask of each set's
+report, then one simulate_delivery under a seeded set of up to F links down
+(drawn from its own generator, so the churn stream is the same either way).
+
 A change that claims unchanged behaviour runs this on the parent and on the
 change and compares the output; a differing configuration line says where
 the two diverge. Standard library only, apart from ffmcast itself:
@@ -20,12 +26,15 @@ the two diverge. Standard library only, apart from ffmcast itself:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
 import time
 
 from ffmcast.errors import TagSpaceExhausted
+from ffmcast.failsim import simulate_delivery, verify_tolerance
+from ffmcast.harness import delivery_rows
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import geant, load_topology
 
@@ -66,13 +75,18 @@ def configs(long):
 
 
 def churn(net, strategy, budget, ops, seed):
-    """The SHA-256 of one configuration's operation stream."""
+    """The SHA-256 of one configuration's operation stream, and that of its
+    verify stream with the number of verify points (0 and None above F=2)."""
     rng = random.Random(seed)
+    probe = random.Random(f"{seed}-verify")
+    links = sorted(net.links)
     source = rng.choice(net.nodes)
     others = [v for v in net.nodes if v != source]
     gs = GroupState(net, source, ProtectionConfig(strategy, budget))
     h = hashlib.sha256()
-    for _ in range(ops):
+    checks = hashlib.sha256() if budget <= 2 else None
+    points = 0
+    for i in range(1, ops + 1):
         if gs.subscribers and rng.random() < 0.4:
             v = rng.choice(sorted(gs.subscribers))
             op, result = "leave", protect_leave(gs, v)
@@ -85,20 +99,49 @@ def churn(net, strategy, budget, ops, seed):
                 result = "TagSpaceExhausted"
         state = (op, v, result, gs.fabric.dump(), gs.unprotected, gs.join_calls, gs.tags_allocated)
         h.update(repr(state).encode())
-    return h.hexdigest()
+        if checks is not None and i % 10 == 0:
+            on_case = lambda failed, rep: checks.update(repr((delivery_rows(failed, rep), rep.read)).encode())
+            checks.update(repr(verify_tolerance(gs, on_case=on_case)).encode())
+            down = probe.sample(links, probe.randint(0, budget))
+            checks.update(repr((down, simulate_delivery(gs, down))).encode())
+            points += 1
+    return h.hexdigest(), checks and checks.hexdigest(), points
+
+
+@functools.cache
+def _streams(long):
+    """(seed, ops, churn digest, verify digest, verify points) per configuration."""
+    return tuple(
+        (seed, ops, *churn(net, strategy, budget, ops, seed))
+        for name, net, strategy, budget, ops in configs(long)
+        for seed in [f"{name}-{strategy}-{budget}"]
+    )
 
 
 def run(long=False, out=None):
     """Run every configuration; returns (total digest, operation count)."""
     total = hashlib.sha256()
     count = 0
-    for name, net, strategy, budget, ops in configs(long):
-        seed = f"{name}-{strategy}-{budget}"
-        digest = churn(net, strategy, budget, ops, seed)
+    for seed, ops, digest, _, _ in _streams(long):
         total.update(digest.encode())
         count += ops
         if out is not None:
             print(f"{seed} {ops} {digest}", file=out)
+    return total.hexdigest(), count
+
+
+def run_verify(long=False, out=None):
+    """The verify stream of every configuration with F <= 2; returns
+    (total digest, number of verify points). Shares run's churn."""
+    total = hashlib.sha256()
+    count = 0
+    for seed, _, _, digest, points in _streams(long):
+        if digest is None:
+            continue
+        total.update(digest.encode())
+        count += points
+        if out is not None:
+            print(f"{seed} verify {points} {digest}", file=out)
     return total.hexdigest(), count
 
 
@@ -108,7 +151,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     digest, count = run(args.long, sys.stdout)
-    print(f"total {count} {digest} ({time.perf_counter() - start:.1f} s)")
+    print(f"total {count} {digest}")
+    digest, count = run_verify(args.long, sys.stdout)
+    print(f"verify total {count} {digest} ({time.perf_counter() - start:.1f} s)")
 
 
 if __name__ == "__main__":

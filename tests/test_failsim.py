@@ -23,7 +23,7 @@ from ffmcast.failsim import (
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
 from tests.test_protection import triangle
-from tests.test_topology import rand_connected
+from tests.test_topology import grid, rand_connected
 
 
 def replace_record(gs, switch, tag, terminal=False, wires=(), groups=()):
@@ -179,6 +179,14 @@ class TestVerifyTolerance:
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             verify_tolerance(gs, **budget)
 
+    @pytest.mark.parametrize("name", ["max_failures", "max_sets"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"])
+    def test_budget_that_is_not_an_int_rejected(self, name, value):
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        with pytest.raises(ValueError, match=f"{name} must be an int, not {type(value).__name__}"):
+            verify_tolerance(gs, **{name: value})
+
     def test_theta_f2_fully_covered(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
         protect_join(gs, "b")
@@ -302,6 +310,26 @@ class TestVerifyTolerance:
         assert added == [1] * (rep.walks - 1)
 
 
+    def test_baseline_resumes_over_several_links(self):
+        # the sweep resumes from the baseline over one link only; resume
+        # over up to three directly: the index gives the walk a scan gives,
+        # copies and their order included, and a walk from the source's report
+        net = grid(5)
+        gs = GroupState(net, net.nodes[-1], ProtectionConfig("spt", 2))
+        for v in net.nodes[:-1]:
+            protect_join(gs, v)
+        root = failsim._walk(gs, 0, keep=True)
+        scan = root._replace(index=None)
+        bits = [net.bit[link] for link in sorted(net.links)]
+        rng = random.Random(1)
+        for _ in range(60):
+            down = sum(rng.sample(bits, rng.randint(1, 3)))
+            for keep in (False, True):
+                w = failsim._walk(gs, down, root, keep)
+                assert w == failsim._walk(gs, down, scan, keep)
+                assert w.report == failsim._walk(gs, down).report
+
+
 class TestSweepRunsInC:
     def test_no_python_hash_eq_or_is_host(self):
         # regression guard: Link hashing and comparison cost no
@@ -330,15 +358,27 @@ class TestVerifyMatchesBruteForce:
     """The core-walking sweep against one simulate_delivery per failure set."""
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
-    @pytest.mark.parametrize("budget", [1, 2, 3])
-    @pytest.mark.parametrize("topo", ["theta", "k5", "k8"])
+    @pytest.mark.parametrize("topo, budget", [
+        *((topo, budget) for topo in ("theta", "k5", "k8") for budget in (1, 2, 3)),
+        # a baseline of many copies, each meeting few links: the baseline
+        # index's case; and a sparse graph whose bridges leave misses excused
+        ("grid5", 1), ("grid5", 2), ("bridged", 1), ("bridged", 2),
+    ])
     def test_named_topologies(self, topo, budget, strategy):
-        net = {"theta": theta, "k5": lambda: complete_graph(5), "k8": lambda: complete_graph(8)}[topo]()
+        net = {
+            "theta": theta,
+            "k5": lambda: complete_graph(5),
+            "k8": lambda: complete_graph(8),
+            "grid5": lambda: grid(5),
+            "bridged": lambda: rand_connected(random.Random(3), 10, 3),
+        }[topo]()
         source = net.nodes[-1]
         gs = GroupState(net, source, ProtectionConfig(strategy, budget))
         for v in net.nodes[:-1]:
             protect_join(gs, v)
-        assert assert_matches_brute_force(gs, budget).ok
+        rep = assert_matches_brute_force(gs, budget)
+        assert rep.ok
+        assert rep.excused or topo != "bridged"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_random_graphs(self, seed):
@@ -424,6 +464,23 @@ class TestVerifyMatchesBruteForce:
         assert both.delivered and both.hops == 2
         rep = assert_matches_brute_force(gs, 2)
         assert rep.unexcused and not rep.ok
+
+    def test_read_kept_by_a_copy_the_link_leaves_alone(self):
+        # b gets one copy through a and one through c, and each reads b-d
+        # at b's group: with r-a down the copy through a is dropped, but
+        # the one through c still reads b-d, so b-d stays in the walk's read
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        replace_record(gs, "r", 0, wires=[("a", 0), ("c", 0)])
+        replace_record(gs, "a", 0, wires=[("b", 0)])
+        replace_record(gs, "c", 0, wires=[("b", 0)])
+        replace_record(gs, "b", 0, terminal=True, groups=[((), [("d", 0)])])
+        replace_record(gs, "d", 0)
+        reports = {}
+        rep = assert_matches_brute_force(gs, 2)
+        verify_tolerance(gs, on_case=lambda failed, rep: reports.setdefault(failed, rep))
+        assert reports[(Link("a", "r"),)].read & gs.net.bit["b", "d"]
+        assert rep.duplicates and not rep.ok
 
     def test_loop_guard_trip_two_failures_deep(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 3))

@@ -397,6 +397,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtectionConfig("spt", -1)
 
+    @pytest.mark.parametrize("budget", [1.5, 2.0, True, "2"], ids=["float", "whole-float", "bool", "str"])
+    def test_budget_that_is_not_an_int(self, budget):
+        # a float used to pass here and fail much later, in verify's range();
+        # True used to pass as 1
+        with pytest.raises(ValueError, match="max_failures must be an int, not "):
+            ProtectionConfig("spt", budget)
+
     def test_tree_inventory(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 2))
         protect_join(gs, "C")

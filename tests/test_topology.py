@@ -15,6 +15,7 @@ from ffmcast.topology import (
     complete_graph,
     geant,
     load_topology,
+    nearest,
     shortest_path,
     without_links,
 )
@@ -404,6 +405,16 @@ class TestAvoid:
             src = rng.choice(net.nodes)
             assert bfs_distances(net, src, avoid) == bfs_distances(sub, src)
 
+    def test_nearest_matches_bfs_distances(self):
+        # oracle: the smallest (hops, name) over the targets a full search labels
+        for rng, net, avoid, _ in self.cases():
+            src = rng.choice(net.nodes)
+            dist = bfs_distances(net, src, avoid)
+            for _ in range(5):
+                targets = set(rng.sample(net.nodes, rng.randint(0, len(net.nodes))))
+                want = min(((dist[w], w) for w in targets if w in dist), default=(None, None))[1]
+                assert nearest(net, src, targets, avoid) == want
+
     def test_links_in_either_orientation(self):
         net = geant()
         for avoid in ({("AT", "HU")}, {("HU", "AT")}, [("SI", "AT"), ("HU", "AT")]):
@@ -427,6 +438,8 @@ class TestAvoid:
         assert net._reach == {}  # a rejected avoid leaves no reach behind
         with pytest.raises(TopologyError, match=message):
             bfs_distances(net, "AT", [Link("AT", "HU"), bad])
+        with pytest.raises(TopologyError, match=message):
+            nearest(net, "AT", {"AT"}, [Link("AT", "HU"), bad])
         for strategy in ("spt", "dst"):
             for v in ("AT", "UK"):  # a member and a non-member
                 tree = MulticastTree(root="AT", down=frozenset({Link("AT", "HU"), bad}))
@@ -437,7 +450,8 @@ class TestAvoid:
         lambda net: shortest_path(net, "XX", "UK"),
         lambda net: shortest_path(net, "AT", "XX"),
         lambda net: bfs_distances(net, "XX"),
-    ], ids=["shortest_path-src", "shortest_path-dst", "bfs_distances"])
+        lambda net: nearest(net, "XX", {"AT"}),
+    ], ids=["shortest_path-src", "shortest_path-dst", "bfs_distances", "nearest"])
     def test_unknown_node_rejected(self, search):
         with pytest.raises(TopologyError, match="unknown node 'XX'"):
             search(geant())

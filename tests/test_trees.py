@@ -293,7 +293,7 @@ class TestSearchCount:
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
-        for name in ("shortest_path", "bfs_distances"):
+        for name in ("shortest_path", "bfs_distances", "nearest"):
             real = getattr(trees, name)
             counted = lambda *a, name=name, real=real, **kw: seen.append(name) or real(*a, **kw)
             monkeypatch.setattr(trees, name, counted)
@@ -311,10 +311,12 @@ class TestSearchCount:
         assert calls == ["shortest_path"]
 
     def test_dst_searches_once_after_bfs(self, calls):
+        # the breadth-first search from v stops at the nearest tree node's
+        # layer; no search labels the whole network
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
         assert join(square(), t, "C", "dst") == [("B", "C")]
-        assert calls == ["bfs_distances", "shortest_path"]
+        assert calls == ["nearest", "shortest_path"]
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_member_join_searches_nothing(self, calls, strategy):
@@ -367,11 +369,18 @@ class TestChurnDigest:
     and dst at F=0..3, hashes to the pinned digest: a change that alters
     any operation's result, switch state, unprotected entries, join count
     or tag count changes it. An spt tree that broke the shortest-path
-    invariant would raise ValueError in its search."""
+    invariant would raise ValueError in its search. The verify stream,
+    pinned apart, covers the walks over the same churn."""
 
     def test_matches_the_pin(self):
         digest = "5134e9af1be9565f6473269d3e3f57974414391108e13c4e4321ae5ff96e6b8c"
         assert churn_digest.run() == (digest, 9480)
+
+    def test_verify_stream_matches_the_pin(self):
+        # every 10th operation at F <= 2: the sweep's report, every row it
+        # hands on_case with that set's read mask, and one seeded direct walk
+        digest = "d3588ab5a1fbb75315ab06384d1e6f32cff224d790eea4959d8ac85faf89c531"
+        assert churn_digest.run_verify() == (digest, 720)
 
 
 class TestSearchAvoid:
