@@ -105,17 +105,17 @@ def churn(net, strategy, budget, ops, seed):
             down = probe.sample(links, probe.randint(0, budget))
             checks.update(repr((down, simulate_delivery(gs, down))).encode())
             points += 1
-    return h.hexdigest(), checks and checks.hexdigest(), points
+    return h.hexdigest(), None if checks is None else checks.hexdigest(), points
 
 
 @functools.cache
 def _streams(long):
     """(seed, ops, churn digest, verify digest, verify points) per configuration."""
-    return tuple(
-        (seed, ops, *churn(net, strategy, budget, ops, seed))
-        for name, net, strategy, budget, ops in configs(long)
-        for seed in [f"{name}-{strategy}-{budget}"]
-    )
+    streams = []
+    for name, net, strategy, budget, ops in configs(long):
+        seed = f"{name}-{strategy}-{budget}"
+        streams.append((seed, ops, *churn(net, strategy, budget, ops, seed)))
+    return tuple(streams)
 
 
 def run(long=False, out=None):
