@@ -293,22 +293,78 @@ class TestVerifyTolerance:
         assert rep.walks * 2 < rep.sets_checked
 
     def test_resumes_add_one_link(self, monkeypatch):
-        # regression guard: a new core resumes from a memoised walk one link
-        # smaller, not from an older core of its fixpoint chain
+        # regression guard: every walk after the baseline resumes from a walk
+        # one link smaller; the masks walked are the cores, found here by
+        # brute force, plus the candidate cores the sweep rejected: one, of
+        # two links, which the chain restarted from the baseline walks again
         gs = geant_f2_all_joined()
+        links = sorted(gs.net.links)
+        cores = {0} | {
+            gs.net.mask(failed) & simulate_delivery(gs, failed).read
+            for k in (1, 2) for failed in combinations(links, k)
+        }
         walk = failsim._walk
+        walked = []
         added = []
 
         def spy(gs, down, base=None, keep=False):
+            walked.append(down)
             if base is not None:
                 added.append((down & ~base.down).bit_count())
             return walk(gs, down, base, keep)
 
         monkeypatch.setattr(failsim, "_walk", spy)
         rep = verify_tolerance(gs)
-        assert rep.walks == 851  # the cores; the choice of base does not change them
+        assert rep.walks == len(walked) == 841
+        assert cores <= set(walked) and len(cores) == 839
+        assert rep.walks - len(cores) == 2
         assert added == [1] * (rep.walks - 1)
 
+    def test_sets_start_from_their_prefix(self, monkeypatch):
+        # k5 at F=3 meets the three ways a set T finds its core from the walk
+        # of its prefix's core C_P (T less its last link b): T shares that
+        # walk when it never read b; the candidate C_P | b is accepted after
+        # one walk resumed from it; or the candidate is rejected and the
+        # fixpoint restarts from the baseline, here for cores that drop a
+        # link of C_P, which no chain grown from C_P reaches
+        net = complete_graph(5)
+        gs = GroupState(net, net.nodes[-1], ProtectionConfig("spt", 3))
+        for v in net.nodes[:-1]:
+            protect_join(gs, v)
+        mask = gs.net.mask
+        walk = failsim._walk
+        walked = []
+        cases = []
+
+        def spy(gs, down, base=None, keep=False):
+            w = walk(gs, down, base, keep)
+            walked.append((down, base, w))
+            return w
+
+        monkeypatch.setattr(failsim, "_walk", spy)
+        verify_tolerance(gs, on_case=lambda failed, rep: cases.append((failed, rep, len(walked))))
+        reports = {failed: rep for failed, rep, _ in cases}
+        kinds = collections.Counter()
+        for (_, _, start), (failed, rep, end) in zip(cases, cases[1:]):
+            made = walked[start:end]
+            prefix = reports[failed[:-1]]
+            b = mask(failed[-1:])
+            candidate = mask(failed[:-1]) & prefix.read | b
+            core = mask(failed) & rep.read
+            if not prefix.read & b:
+                assert rep is prefix and not made
+                kinds["shared"] += 1
+            elif made and made[0][0] == candidate:
+                assert made[0][1].report is prefix
+                if core == candidate:
+                    assert len(made) == 1 and made[0][2].report is rep
+                    kinds["accepted"] += 1
+                elif prefix.read & ~core & mask(failed[:-1]):
+                    kinds["rejected"] += 1
+        assert kinds["shared"] and kinds["accepted"] and kinds["rejected"]
+        assert len({down for down, _, _ in walked}) == len(walked)
+        _, slow, _ = brute_force(gs, 3)
+        assert [rep for _, rep, _ in cases] == slow
 
     def test_baseline_resumes_over_several_links(self):
         # the sweep resumes from the baseline over one link only; resume
