@@ -368,20 +368,20 @@ def verify_tolerance(
     a link of T \\ C, so the walk under T meets the same link states at
     every step, is the walk under C and reads W(C), and T & W(T) == C.
     Each set T is taken from its prefix P, T less its last link b: the
-    sweep keeps the walk of P's core C_P from its pass over the sets of P's
-    size (the baseline when P is empty). Since P & W(C_P) == C_P,
-    T & W(C_P) is C_P plus b if that walk read b.
-    If it did not, C_P is T's core and T shares its walk, with no lookup
-    and no walk. Else the candidate C = C_P | b is taken from the memo or
-    resumed from C_P's walk over the one link b, and is T's core when
-    T & W(C) == C. Only when it is not (995 of 45,825 sets on geant at
-    F=3) is the core found by the fixpoint C <- T & W(C) from C = {}: C stays
-    inside T, so the walks under C and T read the same links up to the
-    first link of T \\ C they meet, which the next step adds; the steps
-    stop at T & W(T). Each new core of that chain resumes from a memoised
-    walk of it less one link, the one with the most copies if there are
-    several, and from the baseline if there is none. Any walk under a
-    subset would do as a base; one link less leaves the least to redo.
+    sweep keeps the walk of P's core C_P from its pass over the sets of
+    P's size (the baseline when P is empty). Since P & W(C_P) == C_P,
+    T & W(C_P) is C_P plus b if that walk read b. If it did not, C_P is
+    T's core and T shares its walk, with no lookup and no walk. Else the
+    candidate C = C_P | b is taken from the memo or resumed from C_P's
+    walk over the one link b, and is T's core when T & W(C) == C. Only
+    when it is not (995 of 45,825 sets on geant at F=3) is the core found
+    by the fixpoint C <- T & W(C) from C = {}: C stays inside T, so the
+    walks under C and T read the same links up to the first link of
+    T \\ C they meet, which the next step adds; the steps stop at
+    T & W(T). Each new core of that chain resumes from a memoised walk of
+    it less one link, the one with the most copies if there are several,
+    and from the baseline if there is none. Any walk under a subset would
+    do as a base; one link less leaves the least to redo.
     The copies whose path avoids the added link are kept as they are, the
     copies that read it run again and the copies they newly emit are
     expanded: on geant at F=3 a walk from the source pops 40 copies and a
