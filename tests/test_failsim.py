@@ -385,6 +385,34 @@ class TestVerifyTolerance:
                 assert w == failsim._walk(gs, down, scan, keep)
                 assert w.report == failsim._walk(gs, down).report
 
+    @pytest.mark.parametrize("topo", ["k5", "k8", "random"])
+    def test_full_budget_resumes_share_a_pass(self, topo, monkeypatch):
+        # in the last pass a prefix that is its own core sets its copies
+        # aside once, and every resume from it scans only those: each gives
+        # the walk a scan of all the base's copies gives
+        net = {
+            "k5": lambda: complete_graph(5),
+            "k8": lambda: complete_graph(8),
+            "random": lambda: rand_connected(random.Random(4), 9),
+        }[topo]()
+        gs = GroupState(net, net.nodes[-1], ProtectionConfig("spt", 3))
+        for v in net.nodes[:-1]:
+            protect_join(gs, v)
+        walk = failsim._walk
+        served = {}  # id -> [base, resumes]; holding the base keeps its id unique
+
+        def spy(gs, down, base=None, keep=False):
+            w = walk(gs, down, base, keep)
+            if base is not None and base.aside is not None:
+                assert not keep and (down & ~base.down).bit_count() == 1
+                assert w == walk(gs, down, base._replace(aside=None), keep)
+                served.setdefault(id(base), [base, 0])[1] += 1
+            return w
+
+        monkeypatch.setattr(failsim, "_walk", spy)
+        assert_matches_brute_force(gs, 3)
+        assert max(n for _, n in served.values()) >= 2
+
 
 class TestSweepRunsInC:
     def test_no_python_hash_eq_or_is_host(self):
@@ -574,6 +602,46 @@ class TestVerifyMatchesBruteForce:
         assert reports[(Link("B", "C"),)].outcomes["C"] == ("C", True, 1, 1)
         assert rep.duplicates == 1  # the baseline only
         assert_matches_brute_force(gs, 1)
+
+    def test_filtered_scan_finds_the_nearest_kept_copy(self, monkeypatch):
+        # b gets one copy over r-d and b-d, 2 hops, and one over r-a and
+        # a-b, 4 hops; b's tag-8 group reads b-c and emits nothing. The
+        # prefix {b-c} is its own core, and its pass sets aside only the
+        # copies meeting b-d or r-d: with either down the near copy is
+        # dropped, and the far one, which the pass did not set aside, is
+        # the nearest kept
+        gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))
+        protect_join(gs, "b")
+        replace_record(gs, "r", 0, wires=[("d", 0), ("a", 8)])
+        replace_record(gs, "d", 0, wires=[("b", 0)])
+        replace_record(gs, "b", 0, terminal=True)
+        replace_record(gs, "a", 8, wires=[("b", 8)])
+        replace_record(gs, "b", 8, wires=[("a", 9)], groups=[([("b", "c")], [])])
+        replace_record(gs, "a", 9, wires=[("b", 9)])
+        replace_record(gs, "b", 9, terminal=True)
+        walk = failsim._walk
+        filtered = []
+
+        def spy(gs, down, base=None, keep=False):
+            if base is not None and base.aside is not None:
+                filtered.append((down, base))
+            return walk(gs, down, base, keep)
+
+        monkeypatch.setattr(failsim, "_walk", spy)
+        reports = {}
+        verify_tolerance(gs, on_case=lambda failed, rep: reports.setdefault(failed, rep))
+        assert reports[()].outcomes["b"] == ("b", True, 2, 2)
+        bc, bd, dr = Link("b", "c"), Link("b", "d"), Link("d", "r")
+        for failed in ((bc, bd), (bc, dr)):
+            assert reports[failed].outcomes["b"] == ("b", True, 4, 1)
+        mask = gs.net.mask
+        far = ("b", 9, 4, mask([Link("a", "r"), Link("a", "b")]), 0)
+        from_bc = [(down, base) for down, base in filtered if base.down == mask([bc])]
+        assert [down for down, _ in from_bc] == [mask([bc, bd]), mask([bc, dr])]
+        for _, base in from_bc:
+            assert far in base.copies and far not in base.aside[0]
+        rep = assert_matches_brute_force(gs, 2)
+        assert rep.duplicates and not rep.ok
 
 
 class TestExpectedDeliverable:
