@@ -371,13 +371,14 @@ def verify_tolerance(
 
     Sets are taken in `combinations` order over the sorted links, after the
     baseline (no link down), prefix by prefix: each set of k - 1 links, in
-    that order, is extended by every link after its last one. A set is a mask of the network's link bits,
-    and bit i is link i of sorted(gs.net.links) (Network.bit), which is how
-    a mask decodes back to links. `on_case(failed, report)` is called once per
-    set with the set and the DeliveryReport of its core. Sets with the same
-    core share that report object, so the callback must treat it as
-    read-only. Only cores are walked: a walk under T reads the state of the
-    links W(T) only, so T forwards exactly like its core T & W(T). Any
+    that order, is extended by every link after its last one. A set is a
+    mask of the network's link bits, and bit i is link i of
+    sorted(gs.net.links) (Network.bit), which is how a mask decodes back to
+    links. `on_case(failed, report)` is called once per set with the set and
+    the DeliveryReport of its core. Sets with the same core share that
+    report object, so the callback must treat it as read-only. Only cores
+    are walked: a walk under T reads the state of the links W(T) only, so
+    T forwards exactly like its core T & W(T). Any
     C inside T with T & W(C) == C is T's core: the walk under C never reads
     a link of T \\ C, so the walk under T meets the same link states at
     every step, is the walk under C and reads W(C), and T & W(T) == C.
@@ -411,8 +412,8 @@ def verify_tolerance(
     last one: it sets aside, in order, the copies whose path or reads meet
     wide, and ORs the reads of the rest, which no such b touches; each of
     those resumes scans only the set-aside copies. On geant at F=3 the
-    resume scans visit 381,834 copies instead of 540,901, plus 33,889 in
-    759 passes. Other resumes scan their base's copies.
+    resume scans visit 381,834 copies instead of 540,901, plus 35,661 in
+    799 passes. Other resumes scan their base's copies.
     Walks are memoised by link bitmask, each with its copies, its duplicate
     count and the subscribers it missed; a resumed walk shares each
     Delivery it leaves alone with its base. Only sets smaller than the
@@ -452,13 +453,12 @@ def verify_tolerance(
     unmatched = baseline.unmatched
     tripped = baseline.loop_guard_tripped
     bit = gs.net.bit
-    mask = gs.net.mask
     size = lambda m: len(m.copies)
     prefixes = [root]  # the walks of the cores of the sets one link smaller, in combinations order
     for k in range(1, max_failures + 1):
         grown = [] if k < max_failures else None
         for head, wp in zip(combinations(links, k - 1), prefixes):
-            prefix = mask(head)
+            prefix = gs.net.mask(head)
             start = prefix.bit_length()  # bit i is link i: the extensions add links start..
             base = wp
             if grown is None and k > 1 and wp.down == prefix:
