@@ -1,15 +1,16 @@
 """Emulated OpenFlow-style dataplane: flows, fast-failover groups, tags.
 
 Switch state is kept as the records the installer works with. Each switch
-holds flows[(group_key, tag)], a Flow naming how each tree edge out of the
-switch is carried (PLAIN or a group id) and whether the switch delivers to
-its own host. The tag is the tree's tag, an int everywhere from the tree to
-the walk; tag 0, the primary tree's, matches untagged packets. Its base set
-names the groups whose source sits here, each with a priority -1 drop so
-unsubscribed traffic dies quietly, and groups maps a group id to its
-ChainGroup. No OpenFlow table is kept: dump() renders each Flow as up to three entries in
-table 0, 1 and 2 (group actions, then plain outputs, then the host
-delivery, chained by goto), and flow_count() counts what it renders.
+holds flows[(group_key, tag)], a flow: a plain dict that maps each out port
+to PLAIN or a group id. A port is the peer switch's name, and the reserved
+HOST port, which no node may take, holds the host delivery. The tag is the
+tree's tag, an int everywhere from the tree to the walk; tag 0, the primary
+tree's, matches untagged packets. Its base set names the groups whose
+source sits here, each with a priority -1 drop so unsubscribed traffic dies
+quietly, and groups maps a group id to its ChainGroup. No OpenFlow table is
+kept: dump() renders each flow as up to three entries in table 0, 1 and 2
+(group actions, then plain outputs, then the host delivery, chained by
+goto), and flow_count() counts what it renders.
 
 SwitchFabric.compile is the one reader of that state for forwarding. It
 flattens what a packet of one group does at one (switch, tag) into a record
@@ -69,22 +70,21 @@ class ChainGroup:
     origin: int | None = None  # original gid when this is a copy
 
 
-@dataclass
-class Flow:
-    """How one (switch, tree tag) forwards a group's packets."""
-
-    children: dict[tuple[str, str], int | str] = field(default_factory=dict)  # edge -> PLAIN or gid
-    terminal: bool = False
-
-    def table_count(self) -> int:
-        """Flow entries dump() renders: one per kind of action it uses."""
-        modes = self.children.values()
-        return any(m != PLAIN for m in modes) + (PLAIN in modes) + self.terminal
+def table_count(flow: dict[str, int | str]) -> int:
+    """Flow entries dump() renders for a flow: one per kind of action it uses."""
+    host = HOST in flow  # the host port is PLAIN too
+    plain = list(flow.values()).count(PLAIN)
+    return (plain < len(flow)) + (plain > host) + host
 
 
 class SwitchState:
+    """One switch's state. flows maps (group_key, tree tag) to a flow, a dict
+    from each out port (the peer switch, or HOST for the host delivery) to
+    PLAIN or the gid of the group that carries it; a flow with no port is
+    deleted."""
+
     def __init__(self):
-        self.flows: dict[tuple[str, int], Flow] = {}
+        self.flows: dict[tuple[str, int], dict[str, int | str]] = {}
         self.base: set[str] = set()  # group keys with the priority -1 drop
         self.groups: dict[int, ChainGroup] = {}
         self._next_gid = 1
@@ -95,7 +95,7 @@ class SwitchState:
         return gid
 
     def flow_count(self) -> int:
-        return len(self.base) + sum(flow.table_count() for flow in self.flows.values())
+        return len(self.base) + sum(map(table_count, self.flows.values()))
 
 
 # (link bit, peer switch, outgoing tag) of a static wire or a failover member
@@ -124,7 +124,7 @@ class SwitchFabric:
         """What a packet of the group with this tag does at the switch, for any
         down set: (matched, terminal, static wires, groups).
 
-        Wires and groups follow the flow's edges in sorted order, each group
+        Wires and groups follow the flow's ports in sorted order, each group
         followed by its copies. Wires keep the packet's tag and each group
         member stamps its own. Without a flow, an untagged packet (tag 0) at
         a switch with the group's base drop matches and goes nowhere.
@@ -136,23 +136,19 @@ class SwitchFabric:
         bit = self.net.bit
         wires: list[Wire] = []
         groups: list[FFGroup] = []
-        for edge in sorted(flow.children):
-            gid = flow.children[edge]
+        for peer in sorted(flow):
+            gid = flow[peer]
             if gid == PLAIN:
-                wires.append((bit[edge], edge[1], tag))
+                if peer != HOST:
+                    wires.append((bit[switch, peer], peer, tag))
                 continue
             group = sw.groups.get(gid)
             if group is None:
                 raise DataplaneError(f"flow references unknown group {gid} on {switch}")
-            groups.append(self._compile_group(group))
-            groups.extend(self._compile_group(sw.groups[c]) for c in group.copies)
-        return True, flow.terminal, tuple(wires), tuple(groups)
-
-    def _compile_group(self, group: ChainGroup) -> FFGroup:
-        bit = self.net.bit
-        drops = tuple([bit[edge] for edge in group.drop_watch])
-        members = tuple([(bit[edge], edge[1], m_tag) for m_tag, edge in group.members])
-        return drops, members
+            for g in (group, *[sw.groups[c] for c in group.copies]) if group.copies else (group,):
+                groups.append((tuple([bit[edge] for edge in g.drop_watch]),
+                               tuple([(bit[edge], edge[1], m_tag) for m_tag, edge in g.members])))
+        return True, HOST in flow, tuple(wires), tuple(groups)
 
     def forward(
         self, switch: str, group_key: str, tag: int, down: Iterable[Link]
@@ -216,15 +212,15 @@ class SwitchFabric:
             for (gk, tag), flow in sw.flows.items():
                 groups = []
                 outputs = []
-                for edge in sorted(flow.children):
-                    gid = flow.children[edge]
-                    if gid == PLAIN:
-                        outputs.append(f"output:{edge[1]}")
-                    else:
+                for peer in sorted(flow):
+                    gid = flow[peer]
+                    if gid != PLAIN:
                         groups.append(f"group:{gid}")
                         groups.extend(f"group:{c}" for c in sw.groups[gid].copies)
+                    elif peer != HOST:
+                        outputs.append(f"output:{peer}")
                 host = ["pop", "output:host"] if tag else ["output:host"]
-                kinds = [k for k in (groups, outputs, host if flow.terminal else []) if k]
+                kinds = [k for k in (groups, outputs, host if HOST in flow else []) if k]
                 for t, acts in enumerate(kinds):
                     goto = [f"goto:{t + 1}"] if t < len(kinds) - 1 else []
                     entries.append((t, gk, tag, 0, ",".join(acts + goto)))
@@ -249,7 +245,7 @@ class FlowInstaller:
 
     It edits the switches' flows, base drops and groups in place, which makes
     installation idempotent and removal an exact inverse: each flow's
-    children say how its tree edges are carried (PLAIN or a gid), and
+    ports say how its tree edges are carried (PLAIN or a gid), and
     _buckets names the group holding each backup tree's first hop. Every
     edit of a (switch, tag) drops that key from the fabric's view.
     """
@@ -265,8 +261,7 @@ class FlowInstaller:
         and its flow once it forwards nothing."""
         key = (self.group_key, tag)
         flows = self.fabric.switches[switch].flows
-        flow = flows.get(key)
-        if flow is not None and not flow.children and not flow.terminal:
+        if key in flows and not flows[key]:
             del flows[key]
         self.fabric.view.pop((self.group_key, switch, tag), None)
 
@@ -290,7 +285,8 @@ class FlowInstaller:
         returns), so a join pays for its new edges alone; an edge that is
         already installed is still a no-op. The first hop out of a backup
         tree's root becomes a failover bucket in the group covering the
-        protected link; every other edge is a child of the (switch, tag) flow.
+        protected link; every other edge is a PLAIN port of the (switch, tag)
+        flow, and the host delivery is its HOST port.
         """
         key = (self.group_key, tree.tag)
         switches = self.fabric.switches
@@ -304,35 +300,35 @@ class FlowInstaller:
             else:
                 flow = switches[a].flows.get(key)
                 if flow is None:
-                    flow = switches[a].flows[key] = Flow()
-                elif (a, b) in flow.children:
+                    flow = switches[a].flows[key] = {}
+                elif b in flow:
                     continue
-                flow.children[(a, b)] = PLAIN
+                flow[b] = PLAIN
                 self._edited(a, tree.tag)
         if terminal is not None:
             flow = switches[terminal].flows.get(key)
             if flow is None:
-                flow = switches[terminal].flows[key] = Flow()
-            if not flow.terminal:
-                flow.terminal = True
+                flow = switches[terminal].flows[key] = {}
+            if HOST not in flow:
+                flow[HOST] = PLAIN
                 self._edited(terminal, tree.tag)
 
     def _ensure_chain(self, parent_key: tuple[int, tuple[str, str]]) -> int:
         """Group id of the failover chain that carries the given tree edge."""
         if parent_key in self._buckets:
             return self._buckets[parent_key]
-        tag, edge = parent_key
-        switch = edge[0]
+        tag, (switch, peer) = parent_key
         sw = self.fabric.switches[switch]
         flow = sw.flows.get((self.group_key, tag))
-        if flow is None or edge not in flow.children:
+        mode = None if flow is None else flow.get(peer)
+        if mode is None:
             raise DataplaneError(f"edge {parent_key} is not installed")
-        if flow.children[edge] != PLAIN:
-            return int(flow.children[edge])
+        if mode != PLAIN:
+            return mode
         # promote a plain output to a fast-failover group
         gid = sw.alloc_gid()
         sw.groups[gid] = ChainGroup(tag, members=[parent_key])
-        flow.children[edge] = gid
+        flow[peer] = gid
         self._edited(switch, tag)
         return gid
 
@@ -370,9 +366,9 @@ class FlowInstaller:
 
     def remove_terminal(self, tree, v: str) -> None:
         flow = self.fabric.switches[v].flows.get((self.group_key, tree.tag))
-        if flow is None or not flow.terminal:
+        if flow is None or HOST not in flow:
             return
-        flow.terminal = False
+        del flow[HOST]
         self._edited(v, tree.tag)
 
     def remove_edge(self, tree, edge: tuple[str, str]) -> None:
@@ -382,12 +378,12 @@ class FlowInstaller:
             self._remove_member(self._buckets[key], key)
             return
         flow = self.fabric.switches[edge[0]].flows.get((self.group_key, tree.tag))
-        mode = None if flow is None else flow.children.get(edge)
+        mode = None if flow is None else flow.get(edge[1])
         if mode == PLAIN:
-            del flow.children[edge]
+            del flow[edge[1]]
             self._edited(edge[0], tree.tag)
         elif mode is not None:
-            self._delete_family(int(mode), key)
+            self._delete_family(mode, key)
 
     def _delete_family(self, gid: int, slot0_key: tuple[int, tuple[str, str]]) -> None:
         tag, edge = slot0_key
@@ -395,9 +391,9 @@ class FlowInstaller:
         sw = self.fabric.switches[switch]
         for dead_gid in [gid, *sw.groups[gid].copies]:
             for key in sw.groups.pop(dead_gid).members:
-                if key != slot0_key:  # the primary slot is a flow child, not a bucket
+                if key != slot0_key:  # the primary slot is a flow port, not a bucket
                     del self._buckets[key]
-        del sw.flows[(self.group_key, tag)].children[edge]
+        del sw.flows[(self.group_key, tag)][edge[1]]
         self._edited(switch, tag)
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
@@ -415,5 +411,5 @@ class FlowInstaller:
             # only the primary slot remains: dissolve back to a plain output
             tag, edge = group.members[0]
             del sw.groups[gid]
-            sw.flows[(self.group_key, tag)].children[edge] = PLAIN
+            sw.flows[(self.group_key, tag)][edge[1]] = PLAIN
         self._edited(switch, group.owner_tag)

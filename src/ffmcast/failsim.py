@@ -396,7 +396,9 @@ def verify_tolerance(
     T & W(T). Each new core of that chain resumes from a memoised walk of
     it less one link, the one with the most copies if there are several,
     and from the baseline if there is none. Any walk under a subset would
-    do as a base; one link less leaves the least to redo.
+    do as a base; one link less leaves the least to redo. A chain that
+    reaches the rejected candidate takes its walk, which the memo does not
+    keep when it is as large as the budget, so no mask is walked twice.
     The copies whose path avoids the added link are kept as they are, the
     copies that read it run again and the copies they newly emit are
     expanded: on geant at F=3 a walk from the source pops 40 copies and a
@@ -412,7 +414,7 @@ def verify_tolerance(
     last one: it sets aside, in order, the copies whose path or reads meet
     wide, and ORs the reads of the rest, which no such b touches; each of
     those resumes scans only the set-aside copies. On geant at F=3 the
-    resume scans visit 381,834 copies instead of 540,901, plus 35,661 in
+    resume scans visit 380,995 copies instead of 540,062, plus 35,661 in
     799 passes. Other resumes scan their base's copies.
     Walks are memoised by link bitmask, each with its copies, its duplicate
     count and the subscribers it missed; a resumed walk shares each
@@ -485,10 +487,10 @@ def verify_tolerance(
                     if failed & w.report.read != core:
                         # the fixpoint C <- failed & W(C) from the baseline; a new
                         # core resumes from the largest memoised walk one link
-                        # smaller, or else from the root
-                        w = root
+                        # smaller, or else from the root, unless it is the candidate
+                        rejected, w = w, root
                         while (core := failed & w.report.read) != w.down:
-                            w = memo.get(core) or walk(core, max(
+                            w = rejected if core == rejected.down else memo.get(core) or walk(core, max(
                                 (m for x in combo if (c := bit[x]) & core and (m := memo.get(core ^ c))),
                                 key=size, default=root))
                 if grown is not None:

@@ -31,7 +31,7 @@ class Link(_Endpoints):
     A Link is a 2-tuple, so hashing, equality and ordering (by (a, b)) run
     in C, and a Link compares equal to the plain tuple (a, b). Directed tree
     edges are plain (parent, child) tuples; never look a Link up in a mapping
-    keyed by them (tree.backup, Flow.children, FlowInstaller._buckets).
+    keyed by them (tree.backup, FlowInstaller._buckets).
     """
 
     __slots__ = ()

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
-from ffmcast.dataplane import PLAIN, Flow, FlowInstaller, SwitchFabric
+from ffmcast.dataplane import PLAIN, FlowInstaller, SwitchFabric
 from ffmcast.errors import DataplaneError, TopologyError
-from ffmcast.topology import HOST, Link, load_topology
+from ffmcast.protection import GroupState, ProtectionConfig, protect_join
+from ffmcast.topology import HOST, Link, geant, load_topology
+from tests.test_pinned_outputs import shared_geant_fabric
 
 GOLDEN_STAR_DUMP = """\
 switch S
@@ -121,7 +125,7 @@ class TestChainGroups:
         assert (fab.forward("S", "g", 0, down("p1", "p2", "p10", "p11", "p12"))
                 == fab.forward("S", "g", 0, down("p1", "p2")))
         # a copy run alone stops at its first live inherited (Drop) watch port
-        fab.switches["S"].flows[("g", 0)] = Flow({("S", "p8"): 2})
+        fab.switches["S"].flows[("g", 0)] = {"p8": 2}
         assert fab.forward("S", "g", 0, down("p1", "p8", "p11")) == ([], True)
 
     def test_unknown_link_in_down_set(self):
@@ -131,7 +135,7 @@ class TestChainGroups:
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
-        fab.switches["S"].flows[("g", 0)] = Flow({("S", "p1"): 9})
+        fab.switches["S"].flows[("g", 0)] = {"p1": 9}
         with pytest.raises(DataplaneError):
             fab.forward("S", "g", 0, set())
 
@@ -194,8 +198,8 @@ class TestCompile:
             ((link("p1"), "p1", 4), (link("p3"), "p3", 4)),
             (((), ((link("p2"), "p2", 4),)),),
         )
-        assert gid == 1 and fab.switches["S"].flows[("g", 4)] == Flow(
-            {("S", "p1"): PLAIN, ("S", "p2"): 1, ("S", "p3"): PLAIN}, terminal=True)
+        assert gid == 1 and fab.switches["S"].flows[("g", 4)] == {
+            "p1": PLAIN, "p2": 1, "p3": PLAIN, HOST: PLAIN}
 
     def test_base_drop_only(self):
         fab = SwitchFabric(star(2))
@@ -311,3 +315,112 @@ class TestInstallerLifecycle:
         inst = FlowInstaller(fab, "g")
         with pytest.raises(DataplaneError):
             inst._ensure_chain((0, ("S", "p1")))
+
+
+FLOW_LINE = re.compile(r"  flow table=(\d) match=\((.+),(untagged|\d+)\) prio=(0|-1) actions=(.+)")
+
+
+def dump_records(fab):
+    """The record of every (switch, group key, tag) that fab.dump() shows,
+    read back from the text alone: {(switch, group_key, tag): record}.
+
+    A flow's entries give, in table order, its groups (each followed by its
+    copies), its plain outputs and its host delivery; a member with no
+    stamp keeps the tag of the flow that owns its group. A base drop
+    without a flow at tag 0 matches and goes nowhere."""
+    bit = fab.net.bit
+    records = {}
+    for block in fab.dump().split("switch ")[1:]:
+        switch, *lines = block.splitlines()
+        entries = {}  # (group_key, tag) -> [(table, actions)]
+        base = []
+        groups = {}  # gid -> [(peer, action)]
+        for line in lines:
+            if line.startswith("  flow "):
+                table, gk, tag, prio, acts = FLOW_LINE.fullmatch(line).groups()
+                tag = 0 if tag == "untagged" else int(tag)
+                if prio == "-1":
+                    assert acts == "Drop" and tag == 0, line
+                    base.append(gk)
+                else:
+                    entries.setdefault((gk, tag), []).append((int(table), acts.split(",")))
+            elif line.startswith("  group "):
+                gid = int(line.split()[1])
+                groups[gid] = []
+            else:
+                groups[gid].append(tuple(line.strip().split("|")))
+
+        def group_record(gid, tag):
+            drops = tuple(bit[switch, peer] for peer, act in groups[gid] if act == "Drop")
+            members = []
+            for peer, act in groups[gid]:
+                if act != "Drop":
+                    stamp, _, out = act.rpartition(",")
+                    assert out == f"output:{peer}", act
+                    out_tag = int(stamp.removeprefix("tag=")) if stamp else tag
+                    members.append((bit[switch, peer], peer, out_tag))
+            return drops, tuple(members)
+
+        for (gk, tag), tables in entries.items():
+            terminal = False
+            wires = []
+            ffgroups = []
+            tables.sort()
+            for i, (table, acts) in enumerate(tables):
+                goto = [f"goto:{tables[i + 1][0]}"] if i + 1 < len(tables) else []
+                assert acts[len(acts) - len(goto):] == goto, (switch, gk, tag)
+                for act in acts[:len(acts) - len(goto)]:
+                    kind, _, arg = act.partition(":")
+                    if act == "output:host":
+                        terminal = True
+                    elif kind == "group":
+                        ffgroups.append(group_record(int(arg), tag))
+                    elif kind == "output":
+                        wires.append((bit[switch, arg], arg, tag))
+                    else:
+                        assert act == "pop" and tag, (switch, gk, tag)
+            records[switch, gk, tag] = (True, terminal, tuple(wires), tuple(ffgroups))
+        for gk in base:
+            records.setdefault((switch, gk, 0), (True, False, (), ()))
+    return records
+
+
+def built(strategy, budget):
+    gs = GroupState(geant(), "AT", ProtectionConfig(strategy, budget))
+    for v in gs.net.nodes:
+        if v != "AT":
+            protect_join(gs, v)
+    return gs.fabric
+
+
+def golden_and_a_base_drop():
+    """The golden star, plus a second group with nothing but its base drop."""
+    fab = build_golden()[0]
+    FlowInstaller(fab, "h").ensure_base("S")
+    return fab
+
+
+class TestCompileMatchesDump:
+    """compile() and dump() are two readers of the same flows: the record
+    compile gives for every flow and every base drop is the one the dump's
+    text states, and every other key is unmatched."""
+
+    @pytest.mark.parametrize("build", [
+        *(lambda s=s, f=f: built(s, f) for s in ("spt", "dst") for f in (1, 2, 3)),
+        shared_geant_fabric,
+        golden_and_a_base_drop,
+    ], ids=[f"{s}-F{f}" for s in ("spt", "dst") for f in (1, 2, 3)] + ["shared", "golden"])
+    def test_records_read_back_from_the_dump(self, build):
+        fab = build()
+        records = dump_records(fab)
+        stored = {(switch, gk, tag) for switch, sw in fab.switches.items() for gk, tag in sw.flows}
+        stored |= {(switch, gk, 0) for switch, sw in fab.switches.items() for gk in sw.base}
+        assert set(records) == stored
+        for (switch, gk, tag), record in records.items():
+            assert fab.compile(switch, gk, tag) == record, (switch, gk, tag)
+        tags = range(max(tag for _, _, tag in records) + 2)
+        for switch in fab.switches:
+            for gk in {gk for _, gk, _ in records}:
+                for tag in tags:
+                    if (switch, gk, tag) not in records:
+                        assert fab.compile(switch, gk, tag) == (False, False, (), ())

@@ -25,7 +25,7 @@ PINNED = {
     "run/metrics.csv": "69ec514508d18466f6bad3bc254caf2b757d1449d6d347715f8c17af2b0fc807",
     "run/deliveries.csv": "34663d69063ebff8b0a969dfbf5eeaf5829d3edc16b434670bc1f44f47e8fc31",
     "verify/deliveries.csv": "93ac480821872c30eed786613ca1af35c7b298843454d2b9a6f1641373bffa80",
-    "verify/stdout": "b3d49a8be886a1f324f9ac7057af854963db619364c7c5ff3937404680f0193e",
+    "verify/stdout": "ed06bba0f5fbcc4456de46f59e49d6a17404275bd4211df915caba8a719d4fe0",
     "fabric.dump": "8602639342d27db42d15a279d055d7c60e8e81ccc9add2d168b23c9d5cc104d3",
 }
 

@@ -8,7 +8,7 @@ from ffmcast.dataplane import MAX_TAG, PLAIN, FlowInstaller, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import Link, Network, bfs_distances, complete_graph, geant, load_topology
+from ffmcast.topology import HOST, Link, Network, bfs_distances, complete_graph, geant, load_topology
 from tests.test_dataplane import check_view, fill_view
 from tests.test_topology import grid, rand_connected
 
@@ -367,7 +367,7 @@ class TestCompileOnlyNewEdges:
         def guard(self, tree, path, terminal=None):
             for edge in path:
                 flow = self.fabric.switches[edge[0]].flows.get((self.group_key, tree.tag))
-                assert flow is None or edge not in flow.children, (tree.tag, edge)
+                assert flow is None or edge[1] not in flow, (tree.tag, edge)
                 assert (tree.tag, edge) not in self._buckets, (tree.tag, edge)
             compiled.extend(path)
             return real(self, tree, path, terminal)
@@ -448,10 +448,12 @@ def check_installer_index(gs):
         referenced.add((key[1][0], gid))
     for switch, sw in switches.items():
         for (group_key, _), flow in sw.flows.items():
-            assert flow.children or flow.terminal, (switch, group_key)
+            # a flow forwards somewhere: to peers over links, or to its host, plainly
+            assert flow and flow.get(HOST, PLAIN) == PLAIN, (switch, group_key)
+            assert all(port == HOST or Link(switch, port) in gs.net.links for port in flow), switch
             if group_key != inst.group_key:
                 continue
-            for mode in flow.children.values():
+            for mode in flow.values():
                 assert mode == PLAIN or mode in sw.groups, (switch, mode)
                 if mode != PLAIN:
                     referenced.add((switch, mode))
@@ -464,7 +466,7 @@ def check_installer_index(gs):
             tag, edge = group.members[0]
             assert tag == group.owner_tag, (switch, gid)
             flow = switches[switch].flows[(inst.group_key, tag)]
-            assert flow.children[edge] == gid, (switch, gid)
+            assert flow[edge[1]] == gid, (switch, gid)
             backups = group.members[1:]
         for key in backups:
             assert key[0] != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)

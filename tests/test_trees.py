@@ -379,7 +379,7 @@ class TestChurnDigest:
     def test_verify_stream_matches_the_pin(self):
         # every 10th operation at F <= 2: the sweep's report, every row it
         # hands on_case with that set's read mask, and one seeded direct walk
-        digest = "845e3e56e350f6cbfa4bba2e43ce050044281d2e08117298bc4f30baddbd6904"
+        digest = "c91a323748634d9e9d98651d1703392f711ae8cb624e8b7ec9c12787d56099a1"
         assert churn_digest.run_verify() == (digest, 720)
 
 
