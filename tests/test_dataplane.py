@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import pytest
 
@@ -400,18 +401,18 @@ def golden_and_a_base_drop():
     return fab
 
 
+FABRICS = {f"{s}-F{f}": partial(built, s, f) for s in ("spt", "dst") for f in (1, 2, 3)}
+FABRICS |= {"shared": shared_geant_fabric, "golden": golden_and_a_base_drop}
+
+
 class TestCompileMatchesDump:
     """compile() and dump() are two readers of the same flows: the record
     compile gives for every flow and every base drop is the one the dump's
     text states, and every other key is unmatched."""
 
-    @pytest.mark.parametrize("build", [
-        *(lambda s=s, f=f: built(s, f) for s in ("spt", "dst") for f in (1, 2, 3)),
-        shared_geant_fabric,
-        golden_and_a_base_drop,
-    ], ids=[f"{s}-F{f}" for s in ("spt", "dst") for f in (1, 2, 3)] + ["shared", "golden"])
-    def test_records_read_back_from_the_dump(self, build):
-        fab = build()
+    @pytest.mark.parametrize("case", list(FABRICS))
+    def test_records_read_back_from_the_dump(self, case):
+        fab = FABRICS[case]()
         records = dump_records(fab)
         stored = {(switch, gk, tag) for switch, sw in fab.switches.items() for gk, tag in sw.flows}
         stored |= {(switch, gk, 0) for switch, sw in fab.switches.items() for gk in sw.base}
