@@ -203,9 +203,9 @@ class SwitchFabric:
         action per table and chained by goto: its groups (each followed by
         its copies), its plain outputs, then its host delivery (popping the
         tag first when there is one). A base drop is a table-0 entry at
-        priority -1.
+        priority -1. The text is joined once, from one chunk per switch.
         """
-        lines: list[str] = []
+        chunks: list[str] = []
         for node in self.net.nodes:
             sw = self.switches[node]
             entries = [(0, gk, 0, -1, "Drop") for gk in sw.base]
@@ -226,7 +226,7 @@ class SwitchFabric:
                     entries.append((t, gk, tag, 0, ",".join(acts + goto)))
             if not entries and not sw.groups:
                 continue
-            lines.append(f"switch {node}")
+            lines = [f"switch {node}"]
             for t, gk, tag, prio, acts in sorted(entries):
                 tag_s = str(tag) if tag else "untagged"
                 lines.append(f"  flow table={t} match=({gk},{tag_s}) prio={prio} actions={acts}")
@@ -237,7 +237,9 @@ class SwitchFabric:
                 for tag, (_, peer) in group.members:
                     stamp = "" if tag == group.owner_tag else f"tag={tag},"
                     lines.append(f"    {peer}|{stamp}output:{peer}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            lines.append("")
+            chunks.append("\n".join(lines))
+        return "".join(chunks)
 
 
 class FlowInstaller:
@@ -286,7 +288,8 @@ class FlowInstaller:
         already installed is still a no-op. The first hop out of a backup
         tree's root becomes a failover bucket in the group covering the
         protected link; every other edge is a PLAIN port of the (switch, tag)
-        flow, and the host delivery is its HOST port.
+        flow, and the host delivery is its HOST port. An insert never empties
+        a flow, so each one drops just its view key.
         """
         key = (self.group_key, tree.tag)
         switches = self.fabric.switches
@@ -304,14 +307,14 @@ class FlowInstaller:
                 elif b in flow:
                     continue
                 flow[b] = PLAIN
-                self._edited(a, tree.tag)
+                self.fabric.view.pop((self.group_key, a, tree.tag), None)
         if terminal is not None:
             flow = switches[terminal].flows.get(key)
             if flow is None:
                 flow = switches[terminal].flows[key] = {}
             if HOST not in flow:
                 flow[HOST] = PLAIN
-                self._edited(terminal, tree.tag)
+                self.fabric.view.pop((self.group_key, terminal, tree.tag), None)
 
     def _ensure_chain(self, parent_key: tuple[int, tuple[str, str]]) -> int:
         """Group id of the failover chain that carries the given tree edge."""

@@ -170,7 +170,6 @@ def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
     # drop edges upward until someone else still needs the switch
     while cur != tree.root and cur not in tree.fanout and cur not in tree.terminals:
         parent = tree.parent.pop(cur)
-        tree.nodes.discard(cur)
         tree.fanout[parent] -= 1
         if not tree.fanout[parent]:
             del tree.fanout[parent]

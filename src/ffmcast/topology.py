@@ -176,12 +176,12 @@ def without_links(net: Network, removed: Iterable[Link]) -> Network:
     return Network(net.nodes, net.links - removed)
 
 
-def _banned(avoid: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
+def _banned(avoid: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     """Node -> neighbours it must not use, for links treated as down."""
-    banned: dict[str, set[str]] = {}
+    banned: dict[str, tuple[str, ...]] = {}
     for a, b in avoid:
-        banned.setdefault(a, set()).add(b)
-        banned.setdefault(b, set()).add(a)
+        banned[a] = banned.get(a, ()) + (b,)
+        banned[b] = banned.get(b, ()) + (a,)
     return banned
 
 
@@ -235,9 +235,8 @@ def shortest_path(
     reach = net._reach.get((src, avoid))
     if reach is None:
         net.mask(avoid)  # a hit's avoid was checked on its miss
-        reach = net._reach[src, avoid] = [{src: 0}, [src]]
-    banned = _banned(avoid)
-    dist, frontier = reach
+        reach = net._reach[src, avoid] = [{src: 0}, [src], _banned(avoid)]
+    dist, frontier, banned = reach
     while dst not in dist:
         if not frontier:
             return None
@@ -283,7 +282,7 @@ def _tree_path(
     left: int,
     parent: Mapping[str, str],
     dist: dict[str, int],
-    banned: dict[str, set[str]],
+    banned: dict[str, tuple[str, ...]],
 ) -> list[str]:
     """The smallest tree path among keys at hop left, each step one hop
     nearer src over a link not avoided; ValueError for a key without one."""

@@ -30,14 +30,14 @@ class MulticastTree:
     this tree stamps it. terminals are the switches whose host receives the
     stream from this tree; protects records which edge of which parent tree
     this tree is the backup for, and down the links it assumes failed: the
-    parent's down plus that edge. Every join onto the tree routes around
-    them, so an spt tree is a shortest-path tree of its root around down.
-    fanout counts each node's children; a node with none is absent.
+    parent's down plus that edge. Every join onto the tree routes around them,
+    so an spt tree is a shortest-path tree of its root around down. fanout
+    counts each node's children; a node with none is absent. The tree's nodes
+    are the root and the keys of parent: `node in tree`.
     """
 
     root: str
     tag: int = 0
-    nodes: set[str] = field(default_factory=set)
     parent: dict[str, str] = field(default_factory=dict)
     fanout: dict[str, int] = field(default_factory=dict)
     backup: dict[tuple[str, str], "MulticastTree"] = field(default_factory=dict)
@@ -45,14 +45,14 @@ class MulticastTree:
     protects: tuple[int, tuple[str, str]] | None = None
     down: frozenset[Link] = frozenset()
 
-    def __post_init__(self) -> None:
-        self.nodes.add(self.root)
+    def __contains__(self, node: str) -> bool:
+        return node == self.root or node in self.parent
 
     def path_to(self, node: str) -> PathEdges:
         """Directed edges from the root down to node."""
         if node == self.root:
             return []
-        if node not in self.nodes:
+        if node not in self.parent:
             raise InvalidPathError(f"{node!r} is not in the tree")
         chain = []
         cur = node
@@ -73,19 +73,18 @@ def apply_path(tree: MulticastTree, path: PathEdges) -> None:
     """
     if not path:
         return
-    if path[0][0] not in tree.nodes:
+    if path[0][0] not in tree:
         raise InvalidPathError(f"path starts at {path[0][0]!r}, which is outside the tree")
     entered: set[str] = set()
     prev_head = path[0][0]
     for a, b in path:
         if a != prev_head:
             raise InvalidPathError(f"path breaks at ({a!r}, {b!r})")
-        if b in tree.nodes or b in entered:
+        if b in tree or b in entered:
             raise InvalidPathError(f"path enters {b!r}, which is already on the tree")
         entered.add(b)
         prev_head = b
     for a, b in path:
-        tree.nodes.add(b)
         tree.parent[b] = a
         tree.fanout[a] = tree.fanout.get(a, 0) + 1
 
@@ -109,7 +108,7 @@ def spt_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     if nodes is None:
         return None
     anchor = len(nodes) - 1
-    while nodes[anchor] not in tree.nodes:
+    while nodes[anchor] not in tree:
         anchor -= 1
     return [(nodes[i], nodes[i + 1]) for i in range(anchor, len(nodes) - 1)]
 
@@ -123,7 +122,7 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     shortest w-to-v segment; no other tree node is on it, since w is
     nearest. Returns [] if v is in the tree, or None if v is unreachable.
     """
-    w = nearest(net, v, tree.nodes, tree.down)
+    w = nearest(net, v, tree, tree.down)
     if w is None:
         return None
     segment = shortest_path(net, w, v, avoid=tree.down)
@@ -160,7 +159,7 @@ def join(net: Network, tree: MulticastTree, v: str, strategy: str) -> PathEdges 
         fn = JOIN_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown join strategy {strategy!r}") from None
-    if v in tree.nodes:
+    if v in tree:
         net.mask(tree.down)
         return []
     return fn(net, tree, v)

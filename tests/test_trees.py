@@ -5,7 +5,7 @@ import pytest
 
 from ffmcast import protection, trees
 from ffmcast.errors import InvalidPathError
-from ffmcast.protection import GroupState, ProtectionConfig, protect_join
+from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import (
     Link,
     bfs_distances,
@@ -30,14 +30,15 @@ class TestApplyPath:
     def test_grows_tree(self):
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B"), ("B", "C")])
-        assert t.nodes == {"A", "B", "C"}
+        assert {t.root, *t.parent} == {"A", "B", "C"}
+        assert all(n in t for n in "ABC") and "D" not in t
         assert t.parent == {"B": "A", "C": "B"}
         assert t.path_to("C") == [("A", "B"), ("B", "C")]
 
     def test_empty_is_noop(self):
         t = MulticastTree(root="A")
         apply_path(t, [])
-        assert t.nodes == {"A"}
+        assert {t.root, *t.parent} == {"A"}
 
     def test_must_start_in_tree(self):
         t = MulticastTree(root="A")
@@ -76,10 +77,10 @@ class TestApplyPath:
     def test_rejected_path_leaves_the_tree_alone(self, path):
         t = MulticastTree(root="A")
         apply_path(t, [("A", "D"), ("D", "C")])
-        nodes, parent = set(t.nodes), dict(t.parent)
+        nodes, parent = {t.root, *t.parent}, dict(t.parent)
         with pytest.raises(InvalidPathError):
             apply_path(t, path)
-        assert t.nodes == nodes
+        assert {t.root, *t.parent} == nodes
         assert t.parent == parent
         assert t.fanout == {"A": 1, "D": 1}
 
@@ -87,6 +88,34 @@ class TestApplyPath:
         t = MulticastTree(root="A")
         with pytest.raises(InvalidPathError):
             t.path_to("Z")
+
+
+class TestMembership:
+    def test_pruned_nodes_leave_the_tree_and_graft_back(self, monkeypatch):
+        # the parent map is the tree's node set: a leave that prunes a branch
+        # takes its nodes off the tree, and a rejoin grafts them back
+        gs = GroupState(grid(4), "g0000", ProtectionConfig("spt", 1))
+        assert protect_join(gs, "g0001") and protect_join(gs, "g0303")
+        t = gs.primary
+        before = {t.root, *t.parent}
+        branch = {b for _, b in t.path_to("g0303")} - {"g0001"}
+        assert len(branch) == 5
+        protect_leave(gs, "g0303")
+        assert {t.root, *t.parent} == before - branch
+        assert not any(n in t for n in branch)
+        assert all(n in t for n in before - branch)
+        grafted = []
+        real = protection.apply_path
+
+        def spy(tree, path):
+            if tree is t:
+                grafted.extend(b for _, b in path)
+            real(tree, path)
+
+        monkeypatch.setattr(protection, "apply_path", spy)
+        assert protect_join(gs, "g0303")
+        assert sorted(grafted) == sorted(branch)
+        assert {t.root, *t.parent} == before and all(n in t for n in branch)
 
 
 class TestSptJoin:
@@ -136,7 +165,7 @@ class TestSptJoin:
             nodes = reference_path(net, t.root, v, lambda a, b: 1 - eps if Link(a, b) in links else 1)
             if nodes is None:
                 return None
-            anchor = max(i for i, node in enumerate(nodes) if node in t.nodes)
+            anchor = max(i for i, node in enumerate(nodes) if node in t)
             return list(zip(nodes[anchor:], nodes[anchor + 1:]))
 
         for seed in range(80):
@@ -149,7 +178,7 @@ class TestSptJoin:
             rng.shuffle(order)
             for v in order:
                 got = spt_join(net, t, v)
-                assert got == ([] if v in t.nodes else reference(sub, t, v))
+                assert got == ([] if v in t else reference(sub, t, v))
                 if got:
                     apply_path(t, got)
 
@@ -224,16 +253,16 @@ class TestJoinContract:
     @staticmethod
     def check(net, tree, v, got, kinds):
         if got is None:
-            assert v not in tree.nodes
+            assert v not in tree
             assert bfs_distances(net, tree.root, tree.down).get(v) is None
         elif not got:
-            assert v in tree.nodes
+            assert v in tree
         else:
-            assert v not in tree.nodes
-            assert got[0][0] in tree.nodes
+            assert v not in tree
+            assert got[0][0] in tree
             heads = [b for _, b in got]
             assert heads[-1] == v and len(set(heads)) == len(heads)
-            assert not tree.nodes & set(heads)
+            assert not any(h in tree for h in heads)
         kinds.add("unreachable" if got is None else "graft" if got else "member")
 
     @staticmethod
