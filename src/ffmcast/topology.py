@@ -53,11 +53,11 @@ class Network:
     position i in sorted(links), keyed under both orientations so a directed
     tree edge (a, b) finds its link directly; mask() encodes a set.
 
-    The one mutable part is _reach: shortest_path memoises there its reach,
-    the hop distances from a source around an avoid set, per (source, avoid)
-    pair. The graph never changes, so the memo is never invalidated; it
-    grows with the distinct pairs searched, about 4 MB for a 12x12 grid
-    group built at F=2.
+    The one mutable part is _reach: per (source, avoid) pair, shortest_path
+    memoises there its reach, the hop distances from the source around avoid,
+    and avoid's banned-neighbour map. The graph never changes, so the memo is
+    never invalidated; it grows with the pairs searched, about 4.8 MB for a
+    12x12 grid group built at F=2.
     """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):
