@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DataplaneError
 from .protection import GroupState, require_count
@@ -355,85 +355,42 @@ def _covered(tree: MulticastTree, v: str, down: int, bit: dict[tuple[str, str], 
     return True
 
 
-def verify_tolerance(
-    gs: GroupState,
-    max_failures: int | None = None,
-    max_sets: int | None = None,
-    on_case: Callable[[tuple[Link, ...], DeliveryReport], None] | None = None,
-) -> ToleranceReport:
-    """Fail every link set up to the budget and check delivery.
+def _cores(
+    gs: GroupState, links: list[Link], max_failures: int, report: ToleranceReport
+) -> Iterator[tuple[tuple[Link, ...], int, _Walk]]:
+    """Yield (failed, mask, walk of its core) for the baseline and every set
+    of 1..max_failures links, in `combinations` order; count walks in report.
 
-    A miss only counts against the result when the backup trees on record
-    cover that subscriber for that failure set (expected_deliverable, asked
-    per set); gaps protect_join already conceded are tallied as excused.
-    Duplicate copies, stray host deliveries and unmatched packets fail the
-    result too.
-
-    Sets are taken in `combinations` order over the sorted links, after the
-    baseline (no link down), prefix by prefix: each set of k - 1 links, in
-    that order, is extended by every link after its last one. A set is a
-    mask of the network's link bits, and bit i is link i of
-    sorted(gs.net.links) (Network.bit), which is how a mask decodes back to
-    links. `on_case(failed, report)` is called once per set with the set and
-    the DeliveryReport of its core. Sets with the same core share that
-    report object, so the callback must treat it as read-only. Only cores
-    are walked: a walk under T reads the state of the links W(T) only, so
-    T forwards exactly like its core T & W(T). Any
-    C inside T with T & W(C) == C is T's core: the walk under C never reads
-    a link of T \\ C, so the walk under T meets the same link states at
-    every step, is the walk under C and reads W(C), and T & W(T) == C.
-    Each set T is taken from its prefix P, T less its last link b: the
-    sweep keeps the walk of P's core C_P from its pass over the sets of
-    P's size (the baseline when P is empty). Since P & W(C_P) == C_P,
-    T & W(C_P) is C_P plus b if that walk read b. If it did not, C_P is
-    T's core and T shares its walk, with no lookup and no walk. Else the
-    candidate C = C_P | b is taken from the memo or resumed from C_P's
-    walk over the one link b, and is T's core when T & W(C) == C. Only
-    when it is not (995 of 45,825 sets on geant at F=3) is the core found
-    by the fixpoint C <- T & W(C) from C = {}: C stays inside T, so the
-    walks under C and T read the same links up to the first link of
-    T \\ C they meet, which the next step adds; the steps stop at
-    T & W(T). Each new core of that chain resumes from a memoised walk of
-    it less one link, the one with the most copies if there are several,
-    and from the baseline if there is none. Any walk under a subset would
-    do as a base; one link less leaves the least to redo. A chain that
-    reaches the rejected candidate takes its walk, which the memo does not
-    keep when it is as large as the budget, so no mask is walked twice.
-    The copies whose path avoids the added link are kept as they are, the
-    copies that read it run again and the copies they newly emit are
-    expanded: on geant at F=3 a walk from the source pops 40 copies and a
-    resumed walk re-expands about 5. The report's `read` stays exact, since
-    a kept copy reads under the core just what it read under the base.
-    The baseline indexes its copies by link bit, so a resume from it visits
-    only the copies the added link touches: on the 12x12 grid at F=1 every
-    resume starts there and touches 12 of 144 copies. In the last pass
-    (budget two or more), a prefix P that is its own core (C_P == P) has
-    every extension by a link b its walk read resume from that walk, as
-    large as the budget and kept by nobody. Before them the sweep makes one
-    pass over C_P's copies with wide = the links W(C_P) reads after P's
-    last one: it sets aside, in order, the copies whose path or reads meet
-    wide, and ORs the reads of the rest, which no such b touches; each of
-    those resumes scans only the set-aside copies. On geant at F=3 the
-    resume scans visit 380,995 copies instead of 540,062, plus 35,661 in
-    799 passes. Other resumes scan their base's copies.
-    Walks are memoised by link bitmask, each with its copies, its duplicate
-    count and the subscribers it missed; a resumed walk shares each
-    Delivery it leaves alone with its base. Only sets smaller than the
-    budget are kept (a core as large as the budget is the one set it stands
-    for, and nothing resumes from it), so the memo holds at most
-    sum(comb(links, k) for k < budget) walks, and the list of the
-    prefixes' walks at most comb(links, budget - 1) entries.
+    `links` is sorted(gs.net.links), so bit i of a mask is links[i]
+    (Network.bit). The baseline comes first, as ((), 0, its walk); then the
+    sets go prefix by prefix: each set of k - 1 links extended by every link
+    after its last one. A walk under T reads the state of the links W(T)
+    only, so T forwards exactly like its core T & W(T). Any C inside T with
+    T & W(C) == C is T's core: the walk under C never reads a link of
+    T \\ C, so the walk under T meets the same link states at every step,
+    is the walk under C, and reads W(C).
+    Each set T is taken from its prefix P, T less its last link b: the pass
+    over P's size kept the walk of P's core C_P (the baseline when P is
+    empty). Since P & W(C_P) == C_P, T & W(C_P) is C_P plus b if that walk
+    read b. If it did not, T shares C_P's walk. Else the candidate
+    C = C_P | b is taken from the memo or resumed from C_P's walk, and is
+    T's core when T & W(C) == C. When it is not, the fixpoint C <- T & W(C)
+    from C = {} finds the core: C stays inside T, so the walks under C and T
+    read the same links up to the first link of T \\ C they meet, which the
+    next step adds; the steps stop at T & W(T). Each new core of that chain
+    resumes from the memoised walk of it less one link with the most
+    copies, else from the baseline, and a chain that reaches the rejected
+    candidate takes its walk, so no mask is walked twice.
+    In the last pass (budget two or more), a prefix that is its own core
+    makes one pass over its copies first: it sets aside those whose path or
+    reads meet the links its walk read after its last one, and ORs the
+    reads of the rest, which none of its extensions touches; each
+    extension that resumes from it scans only the set-aside copies.
+    Only walks under sets smaller than the budget are memoised (a core as
+    large as the budget is the one set it stands for, and nothing resumes
+    from it), so the memo holds at most sum(comb(links, k) for k < budget)
+    walks.
     """
-    if max_failures is None:
-        max_failures = gs.config.max_failures
-    require_count("max_failures", max_failures)
-    if max_sets is not None:
-        require_count("max_sets", max_sets)
-    links = sorted(gs.net.links)
-    total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
-    if max_sets is not None and total > max_sets:
-        raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")
-    report = ToleranceReport()
     memo: dict[int, _Walk] = {}
 
     def walk(mask: int, base: _Walk | None) -> _Walk:
@@ -446,14 +403,7 @@ def verify_tolerance(
         return w
 
     root = walk(0, None)
-    baseline = root.report
-    if on_case is not None:
-        on_case((), baseline)
-    report.baseline_ok = baseline.all_delivered and not baseline.loop_guard_tripped
-    duplicates = root.dups
-    stray = baseline.stray
-    unmatched = baseline.unmatched
-    tripped = baseline.loop_guard_tripped
+    yield (), 0, root
     bit = gs.net.bit
     size = lambda m: len(m.copies)
     prefixes = [root]  # the walks of the cores of the sets one link smaller, in combinations order
@@ -495,22 +445,60 @@ def verify_tolerance(
                                 key=size, default=root))
                 if grown is not None:
                     grown.append(w)
-                rep = w.report
-                duplicates += w.dups
-                stray += rep.stray
-                unmatched += rep.unmatched
-                if rep.loop_guard_tripped:
-                    tripped = True
-                if on_case is not None:
-                    on_case(combo, rep)
-                for v in w.missed:
-                    if _covered(gs.primary, v, failed, bit):
-                        report.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
-                    else:
-                        report.excused += 1
+                yield combo, failed, w
         prefixes = grown
-    report.sets_checked = total
-    report.loop_guard_tripped = tripped
+
+
+def verify_tolerance(
+    gs: GroupState,
+    max_failures: int | None = None,
+    max_sets: int | None = None,
+    on_case: Callable[[tuple[Link, ...], DeliveryReport], None] | None = None,
+) -> ToleranceReport:
+    """Fail every link set up to the budget and check delivery.
+
+    A miss only counts against the result when the backup trees on record
+    cover that subscriber for that failure set (expected_deliverable, asked
+    per set); gaps protect_join already conceded are tallied as excused.
+    Duplicate copies, stray host deliveries and unmatched packets fail the
+    result too.
+
+    Sets are taken in `combinations` order over the sorted links, after the
+    baseline (no link down). `on_case(failed, report)` is called once per
+    set with the set and the DeliveryReport of its core, the links of the
+    set the walk read. Only cores are walked (_cores), and sets with the
+    same core share that report object, so the callback must treat it as
+    read-only.
+    """
+    if max_failures is None:
+        max_failures = gs.config.max_failures
+    require_count("max_failures", max_failures)
+    if max_sets is not None:
+        require_count("max_sets", max_sets)
+    links = sorted(gs.net.links)
+    total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
+    if max_sets is not None and total > max_sets:
+        raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")
+    report = ToleranceReport(sets_checked=total)
+    bit = gs.net.bit
+    duplicates = stray = unmatched = 0
+    for combo, failed, w in _cores(gs, links, max_failures, report):
+        rep = w.report
+        duplicates += w.dups
+        stray += rep.stray
+        unmatched += rep.unmatched
+        if rep.loop_guard_tripped:
+            report.loop_guard_tripped = True
+        if on_case is not None:
+            on_case(combo, rep)
+        if not combo:
+            report.baseline_ok = rep.all_delivered and not rep.loop_guard_tripped
+            continue
+        for v in w.missed:
+            if _covered(gs.primary, v, failed, bit):
+                report.unexcused.append(FailureCase(tuple(str(l) for l in combo), v))
+            else:
+                report.excused += 1
     report.duplicates = duplicates
     report.stray = stray
     if gs.primary.terminals:  # an empty group's packet is unmatched by design

@@ -41,7 +41,10 @@ class Scenario:
 def load_scenario(source: Mapping | str | Path) -> Scenario:
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
     else:
         data = source
     if not isinstance(data, Mapping):

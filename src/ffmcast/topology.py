@@ -56,8 +56,7 @@ class Network:
     The one mutable part is _reach: per (source, avoid) pair, shortest_path
     memoises there its reach, the hop distances from the source around avoid,
     and avoid's banned-neighbour map. The graph never changes, so the memo is
-    never invalidated; it grows with the pairs searched, about 4.8 MB for a
-    12x12 grid group built at F=2.
+    never invalidated; it grows with the pairs searched.
     """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):

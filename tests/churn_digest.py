@@ -10,10 +10,11 @@ that runs out of tags is rolled back and hashed as such. The total digest
 hashes the per-configuration ones in order.
 
 A second stream checks the walks. After every 10th operation of a
-configuration with F <= 2 it runs verify_tolerance and hashes the
-ToleranceReport, every delivery_rows row and the `read` mask of each set's
-report, then one simulate_delivery under a seeded set of up to F links down
-(drawn from its own generator, so the churn stream is the same either way).
+configuration with F <= 2, and with --long of every F=3 configuration but
+geant's, it runs verify_tolerance and hashes the ToleranceReport, every
+delivery_rows row and the `read` mask of each set's report, then one
+simulate_delivery under a seeded set of up to F links down (drawn from its
+own generator, so the churn stream is the same either way).
 
 A change that claims unchanged behaviour runs this on the parent and on the
 change and compares the output; a differing configuration line says where
@@ -59,7 +60,7 @@ def grid(side):
 
 
 def configs(long):
-    """(name, net, strategy, F, operations) in run order."""
+    """(name, net, strategy, F, operations, whether to verify) in run order."""
     rng = random.Random(2017)
     graphs = [("geant", geant()), ("grid4", grid(4))]
     for i in range(40 if long else 18):
@@ -71,12 +72,12 @@ def configs(long):
             for budget in range(4):
                 if name == "geant" and budget == 3 and not long:
                     continue
-                yield name, net, strategy, budget, ops
+                yield name, net, strategy, budget, ops, budget <= 2 or long and name != "geant"
 
 
-def churn(net, strategy, budget, ops, seed):
+def churn(net, strategy, budget, ops, seed, verify):
     """The SHA-256 of one configuration's operation stream, and that of its
-    verify stream with the number of verify points (0 and None above F=2)."""
+    verify stream with the number of verify points (0 and None without verify)."""
     rng = random.Random(seed)
     probe = random.Random(f"{seed}-verify")
     links = sorted(net.links)
@@ -84,7 +85,7 @@ def churn(net, strategy, budget, ops, seed):
     others = [v for v in net.nodes if v != source]
     gs = GroupState(net, source, ProtectionConfig(strategy, budget))
     h = hashlib.sha256()
-    checks = hashlib.sha256() if budget <= 2 else None
+    checks = hashlib.sha256() if verify else None
     points = 0
     for i in range(1, ops + 1):
         if gs.subscribers and rng.random() < 0.4:
@@ -112,9 +113,9 @@ def churn(net, strategy, budget, ops, seed):
 def _streams(long):
     """(seed, ops, churn digest, verify digest, verify points) per configuration."""
     streams = []
-    for name, net, strategy, budget, ops in configs(long):
+    for name, net, strategy, budget, ops, verify in configs(long):
         seed = f"{name}-{strategy}-{budget}"
-        streams.append((seed, ops, *churn(net, strategy, budget, ops, seed)))
+        streams.append((seed, ops, *churn(net, strategy, budget, ops, seed, verify)))
     return tuple(streams)
 
 
@@ -131,7 +132,7 @@ def run(long=False, out=None):
 
 
 def run_verify(long=False, out=None):
-    """The verify stream of every configuration with F <= 2; returns
+    """The verify stream of every configuration that has one; returns
     (total digest, number of verify points). Shares run's churn."""
     total = hashlib.sha256()
     count = 0

@@ -87,7 +87,8 @@ def brute_force(gs, max_failures):
 
 
 def assert_matches_brute_force(gs, max_failures):
-    """verify_tolerance's case stream and report equal the brute-force sweep's."""
+    """verify_tolerance's case stream and report equal the brute-force
+    sweep's, and the enumerator under it yields each set's own core."""
     seen = []
     fast = verify_tolerance(gs, max_failures=max_failures,
                             on_case=lambda failed, rep: seen.append((failed, rep)))
@@ -96,6 +97,11 @@ def assert_matches_brute_force(gs, max_failures):
     assert [rep for _, rep in seen] == reports
     assert dataclasses.replace(fast, walks=slow.walks) == slow
     assert 1 <= fast.walks <= slow.walks
+    cores = list(failsim._cores(gs, sorted(gs.net.links), max_failures, ToleranceReport()))
+    assert [failed for failed, _, _ in cores] == sets
+    for failed, mask, w in cores:
+        assert mask == gs.net.mask(failed)
+        assert w.down == mask & w.report.read
     return fast
 
 
@@ -277,6 +283,19 @@ class TestVerifyTolerance:
         rep = assert_matches_brute_force(gs, 1)
         assert rep.unmatched == 3  # every set but A-B down
         assert not rep.ok
+
+    def test_failed_baseline(self):
+        gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "B")
+        protect_join(gs, "C")
+        # C's primary-tree record no longer hands a copy to its host
+        group_key = gs.installer.group_key
+        matched, _, wires, groups = gs.fabric.compile("C", group_key, 0)
+        gs.fabric.view[(group_key, "C", 0)] = (matched, False, wires, groups)
+        rep = assert_matches_brute_force(gs, 1)
+        assert not rep.baseline_ok and not rep.ok
+        assert rep.unexcused
+        assert all(case.failed != () for case in rep.unexcused)
 
     def test_empty_group_packet_is_not_unmatched(self):
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))

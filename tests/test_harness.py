@@ -33,6 +33,12 @@ class TestLoadScenario:
         s = load_scenario(p)
         assert s.events[0].op == "join" and s.events[0].arg == "B"
 
+    def test_file_not_json(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('{"source": "A",')
+        with pytest.raises(ValueError, match="scenario file is not valid JSON: Expecting"):
+            load_scenario(p)
+
     def test_unknown_op(self):
         with pytest.raises(ValueError):
             load_scenario({"source": "A", "events": [{"op": "explode"}]})
