@@ -43,7 +43,7 @@ def load_scenario(source: Mapping | str | Path) -> Scenario:
         with open(source, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
                 raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
     else:
         data = source

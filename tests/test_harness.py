@@ -33,10 +33,14 @@ class TestLoadScenario:
         s = load_scenario(p)
         assert s.events[0].op == "join" and s.events[0].arg == "B"
 
-    def test_file_not_json(self, tmp_path):
+    @pytest.mark.parametrize("data, reason", [
+        (b'{"source": "A",', "Expecting"),
+        (b'\xff{"source": "A"}', "'utf-8' codec can't decode"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_file_not_json(self, tmp_path, data, reason):
         p = tmp_path / "s.json"
-        p.write_text('{"source": "A",')
-        with pytest.raises(ValueError, match="scenario file is not valid JSON: Expecting"):
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=f"scenario file is not valid JSON: {reason}"):
             load_scenario(p)
 
     def test_unknown_op(self):
