@@ -8,7 +8,6 @@ dataplane state.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Container, Iterable, Mapping
 from importlib import resources
 from pathlib import Path
@@ -55,8 +54,9 @@ class Network:
 
     The one mutable part is _reach: per (source, avoid) pair, shortest_path
     memoises there its reach, the hop distances from the source around avoid,
-    and avoid's banned-neighbour map. The graph never changes, so the memo is
-    never invalidated; it grows with the pairs searched.
+    and avoid's banned-neighbour map. Only spt joins call shortest_path, so it
+    holds spt trees' reaches alone; the graph never changes, so it is never
+    invalidated and grows with the pairs searched.
     """
 
     def __init__(self, nodes: Iterable[str], links: Iterable[Link | tuple[str, str]]):
@@ -81,7 +81,7 @@ class Network:
             adj[link.a].append(link.b)
             adj[link.b].append(link.a)
         self._adj: dict[str, tuple[str, ...]] = {n: tuple(sorted(v)) for n, v in adj.items()}
-        self._reach: dict[tuple[str, frozenset[Link]], list] = {}
+        self._reach: dict[tuple[str, frozenset[Link]], _Reach] = {}
 
     def __contains__(self, node: str) -> bool:
         return node in self._node_set
@@ -111,10 +111,9 @@ def load_topology(source: Mapping | str | Path) -> Network:
     self-loops and unknown endpoints are errors.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
         try:
-            source = json.loads(text)
-        except json.JSONDecodeError as exc:
+            source = json.loads(Path(source).read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise TopologyError(f"topology file is not valid JSON: {exc}") from exc
     if not isinstance(source, Mapping):
         raise TopologyError("topology document must be a mapping")
@@ -158,7 +157,7 @@ def complete_graph(n: int) -> Network:
 
 def geant() -> Network:
     """Bundled approximation of a European research backbone (40 nodes)."""
-    doc = json.loads(resources.files("ffmcast.data").joinpath("geant.json").read_text())
+    doc = json.loads(resources.files("ffmcast.data").joinpath("geant.json").read_text(encoding="utf-8"))
     return load_topology(doc)
 
 
@@ -175,13 +174,45 @@ def without_links(net: Network, removed: Iterable[Link]) -> Network:
     return Network(net.nodes, net.links - removed)
 
 
-def _banned(avoid: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-    """Node -> neighbours it must not use, for links treated as down."""
-    banned: dict[str, tuple[str, ...]] = {}
-    for a, b in avoid:
-        banned[a] = banned.get(a, ()) + (b,)
-        banned[b] = banned.get(b, ()) + (a,)
-    return banned
+class _Reach:
+    """A breadth-first search from src around avoid: dist holds each labelled
+    node's hop distance from src, frontier the last layer labelled, banned
+    each node's neighbours across a link in avoid. Making one checks src and
+    avoid (TopologyError for a node or link not in net); step() labels the
+    next layer."""
+
+    __slots__ = ("adj", "dist", "frontier", "banned")
+
+    def __init__(self, net: Network, src: str, avoid: Iterable[tuple[str, str]]):
+        if src not in net:
+            raise TopologyError(f"unknown node {src!r}")
+        avoid = tuple(avoid)
+        net.mask(avoid)
+        banned: dict[str, tuple[str, ...]] = {}
+        for a, b in avoid:
+            banned[a] = banned.get(a, ()) + (b,)
+            banned[b] = banned.get(b, ()) + (a,)
+        self.adj = net._adj
+        self.dist = {src: 0}
+        self.frontier = [src]
+        self.banned = banned
+
+    def step(self) -> list[str]:
+        """Label the next layer and return it: [] once every node src reaches has a label."""
+        frontier = self.frontier
+        if not frontier:
+            return frontier
+        dist, adj, banned = self.dist, self.adj, self.banned
+        hops = dist[frontier[0]] + 1
+        reached = []
+        for node in frontier:
+            skip = banned.get(node, ())
+            for nxt in adj[node]:
+                if nxt not in dist and nxt not in skip:
+                    dist[nxt] = hops
+                    reached.append(nxt)
+        self.frontier = reached
+        return reached
 
 
 def shortest_path(
@@ -220,34 +251,22 @@ def shortest_path(
     an entry for src itself, raises ValueError: parent is then not a
     shortest-path tree of src around avoid.
     """
-    for node in (src, dst):
-        if node not in net:
-            raise TopologyError(f"unknown node {node!r}")
+    if dst not in net:
+        raise TopologyError(f"unknown node {dst!r}")
+    avoid = frozenset(avoid)
+    reach = net._reach.get((src, avoid))
+    if reach is None:  # a hit's src and avoid were checked on its miss
+        reach = net._reach[src, avoid] = _Reach(net, src, avoid)
     if parent is None:
         parent = {}
     elif src in parent:
         raise ValueError(f"{src!r} has a parent: not a shortest-path tree of its root around avoid")
     if src == dst:
         return [src]
-    avoid = frozenset(avoid)
-    adj = net._adj
-    reach = net._reach.get((src, avoid))
-    if reach is None:
-        net.mask(avoid)  # a hit's avoid was checked on its miss
-        reach = net._reach[src, avoid] = [{src: 0}, [src], _banned(avoid)]
-    dist, frontier, banned = reach
+    adj, dist, banned = net._adj, reach.dist, reach.banned
     while dst not in dist:
-        if not frontier:
+        if not reach.step():
             return None
-        hops = dist[frontier[0]] + 1
-        reached = []
-        for node in frontier:
-            skip = banned.get(node, ())
-            for nxt in adj[node]:
-                if nxt not in dist and nxt not in skip:
-                    dist[nxt] = hops
-                    reached.append(nxt)
-        reach[1] = frontier = reached
     succ: dict[str, str] = {}
     layer = [dst]
     left = dist[dst]
@@ -310,54 +329,36 @@ def bfs_distances(net: Network, src: str, avoid: Iterable[Link] = frozenset()) -
     avoid holds links of the network, each in either orientation; anything
     else raises TopologyError.
     """
-    if src not in net:
-        raise TopologyError(f"unknown node {src!r}")
-    avoid = tuple(avoid)
-    net.mask(avoid)
-    adj = net._adj
-    banned = _banned(avoid)
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        skip = banned.get(node, ())
-        for nxt in adj[node]:
-            if nxt not in dist and nxt not in skip:
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
-    return dist
+    reach = _Reach(net, src, avoid)
+    while reach.step():
+        pass
+    return reach.dist
 
 
-def nearest(net: Network, src: str, targets: Container[str], avoid: Iterable[Link] = frozenset()) -> str | None:
-    """The node of targets nearest src without the links in avoid, ties to
-    the smallest name, or None if no target is reachable.
+def nearest(
+    net: Network, src: str, targets: Container[str], avoid: Iterable[Link] = frozenset()
+) -> list[str] | None:
+    """Best path to src from the nearest node of targets without the links in
+    avoid, ties to the smallest name, or None if no target is reachable.
 
-    A breadth-first search from src that stops at the first layer holding a
-    target; it picks what the smallest (bfs_distances(net, src, avoid)[w], w)
-    over the reachable targets w picks. avoid is checked as there.
+    One breadth-first search from src stops at the first layer holding a
+    target and takes its smallest, w: the smallest (bfs_distances(net, src,
+    avoid)[w], w). The path steps from w to the smallest neighbour a layer
+    nearer src over a link not in avoid, so it is shortest_path(net, w, src,
+    avoid=avoid), and no other target is on it. avoid is checked as there.
     """
-    if src not in net:
-        raise TopologyError(f"unknown node {src!r}")
-    avoid = tuple(avoid)
-    net.mask(avoid)
-    if src in targets:
-        return src
-    adj = net._adj
-    banned = _banned(avoid)
-    seen = {src}
-    layer = [src]
+    reach = _Reach(net, src, avoid)
+    layer = reach.frontier
     while layer:
-        found = []
-        below = []
-        for node in layer:
-            skip = banned.get(node, ())
-            for nxt in adj[node]:
-                if nxt not in seen and nxt not in skip:
-                    seen.add(nxt)
-                    below.append(nxt)
-                    if nxt in targets:
-                        found.append(nxt)
+        found = [node for node in layer if node in targets]
         if found:
-            return min(found)
-        layer = below
+            node = min(found)
+            path = [node]
+            adj, dist, banned = net._adj, reach.dist, reach.banned
+            for hops in range(dist[node] - 1, -1, -1):
+                skip = banned.get(node, ())
+                node = next(y for y in adj[node] if dist.get(y) == hops and y not in skip)
+                path.append(node)
+            return path
+        layer = reach.step()
     return None

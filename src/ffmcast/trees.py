@@ -117,16 +117,14 @@ def dst_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:
     """Graft v onto the nearest tree node, around tree.down.
 
     Picks the tree node w with minimum hop distance to v (ties go to the
-    lexicographically smallest w), by a breadth-first search from v that
-    stops at the first layer holding a tree node, and returns the edges of a
-    shortest w-to-v segment; no other tree node is on it, since w is
+    lexicographically smallest w) and returns the edges of the segment
+    shortest_path(net, w, v, avoid=tree.down) gives, both read from nearest's
+    one breadth-first search from v; no other tree node is on it, since w is
     nearest. Returns [] if v is in the tree, or None if v is unreachable.
     """
-    w = nearest(net, v, tree, tree.down)
-    if w is None:
+    segment = nearest(net, v, tree, tree.down)
+    if segment is None:
         return None
-    segment = shortest_path(net, w, v, avoid=tree.down)
-    assert segment is not None
     return [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
 
 

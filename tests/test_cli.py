@@ -195,6 +195,16 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and message in lines[0]
 
+    def test_topology_that_is_not_utf8(self, files, capsys):
+        topo, scn, tmp = files
+        bad = tmp / "latin1.json"
+        bad.write_bytes(b"\xff" + topo.read_bytes())
+        assert main(["verify", "--topology", str(bad), "--scenario", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "topology file is not valid JSON: 'utf-8' codec can't decode" in lines[0]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

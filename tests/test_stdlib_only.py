@@ -43,3 +43,20 @@ def test_every_import_is_used():
             names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
             dead += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
     assert dead == []
+
+
+def test_every_file_read_or_write_names_its_encoding():
+    # without encoding= a text file is read in the locale's encoding, so the
+    # same input could parse on one machine and fail on another
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    unnamed = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "read_text", "write_text") and "encoding" not in {k.arg for k in node.keywords}:
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert unnamed == []

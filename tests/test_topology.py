@@ -161,6 +161,12 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match=re.escape(message)):
             load_topology(p)
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_bytes(b'\xff{"nodes": ["A"], "links": []}')
+        with pytest.raises(TopologyError, match="topology file is not valid JSON: 'utf-8' codec can't decode"):
+            load_topology(p)
+
     def test_missing_keys(self):
         with pytest.raises(TopologyError):
             load_topology({"nodes": ["A"]})
@@ -406,14 +412,25 @@ class TestAvoid:
             assert bfs_distances(net, src, avoid) == bfs_distances(sub, src)
 
     def test_nearest_matches_bfs_distances(self):
-        # oracle: the smallest (hops, name) over the targets a full search labels
-        for rng, net, avoid, _ in self.cases():
+        # oracle: two searches, the smallest (hops, name) w over the targets
+        # a full search labels, then shortest_path from w around avoid
+        cases = list(self.cases())
+        for seed in range(20):
+            rng = random.Random(seed)
+            net = geant()
+            cases.append((rng, net, set(rng.sample(sorted(net.links), rng.randint(0, 8))), None))
+        paths = unreachable = 0
+        for rng, net, avoid, _ in cases:
             src = rng.choice(net.nodes)
             dist = bfs_distances(net, src, avoid)
-            for _ in range(5):
-                targets = set(rng.sample(net.nodes, rng.randint(0, len(net.nodes))))
-                want = min(((dist[w], w) for w in targets if w in dist), default=(None, None))[1]
-                assert nearest(net, src, targets, avoid) == want
+            for i in range(6):
+                targets = set(rng.sample(net.nodes, rng.randint(0, len(net.nodes) if i % 2 else 3)))
+                w = min(((dist[w], w) for w in targets if w in dist), default=(None, None))[1]
+                want = None if w is None else shortest_path(net, w, src, avoid=avoid)
+                assert nearest(net, src, targets, avoid) == want, (src, targets, avoid)
+                paths += want is not None and len(want) > 2
+                unreachable += want is None
+        assert paths > 50 and unreachable > 50
 
     def test_links_in_either_orientation(self):
         net = geant()

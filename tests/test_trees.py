@@ -313,9 +313,10 @@ class TestJoinContract:
 
 
 class TestSearchCount:
-    """A join makes one path search, looked up as ffmcast.trees.shortest_path.
+    """A join makes one path search, looked up by name on ffmcast.trees:
+    shortest_path for spt, nearest for dst.
 
-    The benchmark tracer counts searches by wrapping that name, so a join
+    The benchmark tracer counts searches by wrapping such a name, so a join
     that searched through a private helper would read as zero searches.
     """
 
@@ -341,11 +342,12 @@ class TestSearchCount:
 
     def test_dst_searches_once_after_bfs(self, calls):
         # the breadth-first search from v stops at the nearest tree node's
-        # layer; no search labels the whole network
+        # layer and reads the segment back from it; no search labels the
+        # whole network, and none runs from the nearest node
         t = MulticastTree(root="A")
         apply_path(t, [("A", "B")])
         assert join(square(), t, "C", "dst") == [("B", "C")]
-        assert calls == ["nearest", "shortest_path"]
+        assert calls == ["nearest"]
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_member_join_searches_nothing(self, calls, strategy):
@@ -376,12 +378,23 @@ class TestReachMemo:
         assert set(net._reach) == set(searched)
         assert len(net._reach) < len(searched)
 
+    def test_dst_build_memoises_nothing(self):
+        # a dst join makes one search, nearest's, which no memo keeps
+        net = geant()
+        gs = GroupState(net, "AT", ProtectionConfig("dst", 2))
+        order = [v for v in net.nodes if v != gs.source]
+        random.Random(7).shuffle(order)
+        for v in order:
+            assert protect_join(gs, v)
+        assert net._reach == {}
+
 
 class TestSearchShortcut:
     """Group builds never need the whole shortest-path DAG ranked: an spt
     tree is a shortest-path tree of its root around its down set, so each
     search stops at the first layer holding a tree node, and a tree that
-    broke this would raise ValueError there. dst searches pass no tree."""
+    broke this would raise ValueError there. A dst join's one search,
+    nearest's, stops at the first layer holding a tree node too."""
 
     @pytest.mark.parametrize("topo, strategy", [("grid", "spt"), ("geant", "spt"), ("geant", "dst")])
     def test_builds_stop_at_the_first_tree_layer(self, topo, strategy):
@@ -420,19 +433,21 @@ class TestSearchAvoid:
         gs = GroupState(net, "g0000", ProtectionConfig(strategy, 2))
         growing = []
         searched = []
-        real_join, real_search = protection.join, trees.shortest_path
+        # each strategy's one search takes avoid as its last argument
+        name = {"spt": "shortest_path", "dst": "nearest"}[strategy]
+        real_join, real_search = protection.join, getattr(trees, name)
 
         def join_spy(net, tree, v, strategy):
             growing.append(tree)
             return real_join(net, tree, v, strategy)
 
-        def search_spy(net, src, dst, parent=None, avoid=frozenset()):
-            assert avoid is growing[-1].down
-            searched.append(len(avoid))
-            return real_search(net, src, dst, parent, avoid)
+        def search_spy(*args):
+            assert args[-1] is growing[-1].down
+            searched.append(len(args[-1]))
+            return real_search(*args)
 
         monkeypatch.setattr(protection, "join", join_spy)
-        monkeypatch.setattr(trees, "shortest_path", search_spy)
+        monkeypatch.setattr(trees, name, search_spy)
         for v in net.nodes[1:]:
             assert protect_join(gs, v)
         assert set(searched) == {0, 1, 2}
@@ -447,9 +462,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("strategy", ["spt", "dst"])
     def test_avoid_may_be_any_iterable(self, strategy):
-        # a tree's down set, read more than once per dst join (nearest tree
-        # node, then the segment search), may hold Links or plain pairs
-        # either way round in any collection
+        # a tree's down set may hold Links or plain pairs either way round
+        # in any collection
         def makes(links):
             yield frozenset(links)
             yield list(links)
