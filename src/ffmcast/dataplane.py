@@ -26,15 +26,16 @@ touched) afterwards; a test may instead write a record into the view
 directly, which is what walks read.
 
 A fast-failover group is an ordered bucket list where the first bucket with a
-live watch port wins. Each bucket is named by the tree edge it carries,
-(tree tag, directed edge): it watches and outputs to the edge's far end and
-stamps the tag it stores. The primary slot stores the tag of the flow that
-owns the group, so it keeps the packet's tag. Backup trees rooted at a
-switch add buckets to the group protecting the link they cover; when one
-backup tree needs several egress ports at the same switch, the extra ports
-get copies of the group whose inherited buckets are rewritten to Drop so
-each copy emits at most one packet, and the owning flow points at the
-copies as well. Copies are reached only through that flow.
+live watch port wins. Each bucket is stored as the wire a walk reads,
+(link bit, peer, tag): it watches and outputs to the peer over that link
+and stamps the tag. The primary slot stamps the tag of the flow that owns
+the group, so it keeps the packet's tag. Backup trees rooted at a switch
+add buckets to the group protecting the link they cover; when one backup
+tree needs several egress ports at the same switch, the extra ports get
+copies of the group whose inherited buckets are rewritten to Drop so each
+copy emits at most one packet, and the owning flow points at the copies as
+well. Copies are reached only through that flow. A bucket is built once,
+when it is installed, so compile copies it and derives nothing.
 """
 
 from __future__ import annotations
@@ -48,24 +49,28 @@ from .topology import HOST, Link, Network
 MAX_TAG = 4094
 PLAIN = "plain"
 
+# (link bit, peer switch, outgoing tag) of a static wire or a failover member
+Wire = tuple[int, str, int]
+
 
 @dataclass
 class ChainGroup:
     """Fast-failover group holding one failover cascade, keyed by its gid in SwitchState.groups.
 
-    members are the cascade's own buckets in failover order, each the
-    (tree tag, directed edge) it carries: the bucket watches and outputs to
-    edge[1] and stamps the tag. The primary slot, members[0] of an original,
-    carries owner_tag, the tag of the flow that references the group, so it
-    keeps the packet's tag; a backup tree has no flow at its own root, so no
-    backup bucket carries owner_tag.
-    drop_watch holds the edges of a copy's inherited prefix (same watch
-    ports, Drop actions).
+    members are the cascade's own buckets in failover order, each stored as
+    the wire (link bit, peer, tag) of the tree edge (switch, peer) it
+    carries: the bucket watches and outputs to peer and stamps the tag. The
+    primary slot, members[0] of an original, stamps owner_tag, the tag of
+    the flow that references the group, so it keeps the packet's tag; a
+    backup tree has no flow at its own root, so no backup bucket stamps
+    owner_tag.
+    drops holds the link bits of a copy's inherited prefix (same watch
+    ports, Drop actions), fixed when the copy is made.
     """
 
     owner_tag: int  # tree tag of the flow on this switch that references it
-    drop_watch: list[tuple[str, str]] = field(default_factory=list)
-    members: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
+    drops: tuple[int, ...] = ()
+    members: list[Wire] = field(default_factory=list)
     copies: list[int] = field(default_factory=list)  # only on originals
     origin: int | None = None  # original gid when this is a copy
 
@@ -98,8 +103,6 @@ class SwitchState:
         return len(self.base) + sum(map(table_count, self.flows.values()))
 
 
-# (link bit, peer switch, outgoing tag) of a static wire or a failover member
-Wire = tuple[int, str, int]
 # (link bits of the inherited Drop buckets, members in failover order)
 FFGroup = tuple[tuple[int, ...], tuple[Wire, ...]]
 # (matched, delivers to the host, static wires, groups)
@@ -146,8 +149,7 @@ class SwitchFabric:
             if group is None:
                 raise DataplaneError(f"flow references unknown group {gid} on {switch}")
             for g in (group, *[sw.groups[c] for c in group.copies]) if group.copies else (group,):
-                groups.append((tuple([bit[edge] for edge in g.drop_watch]),
-                               tuple([(bit[edge], edge[1], m_tag) for m_tag, edge in g.members])))
+                groups.append((g.drops, tuple([(b, p, t) for b, p, t in g.members])))
         return True, HOST in flow, tuple(wires), tuple(groups)
 
     def forward(
@@ -205,6 +207,7 @@ class SwitchFabric:
         tag first when there is one). A base drop is a table-0 entry at
         priority -1. The text is joined once, from one chunk per switch.
         """
+        peer_of = {(a, b): peer for (a, peer), b in self.net.bit.items()}  # (switch, link bit) -> peer
         chunks: list[str] = []
         for node in self.net.nodes:
             sw = self.switches[node]
@@ -233,8 +236,8 @@ class SwitchFabric:
             for gid in sorted(sw.groups):
                 group = sw.groups[gid]
                 lines.append(f"  group {gid}")
-                lines.extend(f"    {peer}|Drop" for _, peer in group.drop_watch)
-                for tag, (_, peer) in group.members:
+                lines.extend(f"    {peer_of[node, b]}|Drop" for b in group.drops)
+                for _, peer, tag in group.members:
                     stamp = "" if tag == group.owner_tag else f"tag={tag},"
                     lines.append(f"    {peer}|{stamp}output:{peer}")
             lines.append("")
@@ -330,7 +333,7 @@ class FlowInstaller:
             return mode
         # promote a plain output to a fast-failover group
         gid = sw.alloc_gid()
-        sw.groups[gid] = ChainGroup(tag, members=[parent_key])
+        sw.groups[gid] = ChainGroup(tag, members=[(self.fabric.net.bit[switch, peer], peer, tag)])
         flow[peer] = gid
         self._edited(switch, tag)
         return gid
@@ -348,9 +351,10 @@ class FlowInstaller:
         if group is None:
             raise DataplaneError(f"unknown group {gid} on {switch}")
         key = (backup_tag, (switch, peer))
-        first = next((i for i, (tag, _) in enumerate(group.members) if tag == backup_tag), None)
+        wire = (self.fabric.net.bit[switch, peer], peer, backup_tag)
+        first = next((i for i, (_, _, tag) in enumerate(group.members) if tag == backup_tag), None)
         if first is None:
-            group.members.append(key)
+            group.members.append(wire)
             self._buckets[key] = gid
             self._edited(switch, group.owner_tag)
             return gid
@@ -358,8 +362,8 @@ class FlowInstaller:
         origin_gid = group.origin if group.origin is not None else gid
         origin = sw.groups[origin_gid]
         copy_gid = sw.alloc_gid()
-        prefix = group.drop_watch + [edge for _, edge in group.members[:first]]
-        sw.groups[copy_gid] = ChainGroup(origin.owner_tag, prefix, [key], origin=origin_gid)
+        drops = group.drops + tuple([b for b, _, _ in group.members[:first]])
+        sw.groups[copy_gid] = ChainGroup(origin.owner_tag, drops, [wire], origin=origin_gid)
         origin.copies.append(copy_gid)
         self._buckets[key] = copy_gid
         self._edited(switch, origin.owner_tag)
@@ -393,18 +397,19 @@ class FlowInstaller:
         switch = edge[0]
         sw = self.fabric.switches[switch]
         for dead_gid in [gid, *sw.groups[gid].copies]:
-            for key in sw.groups.pop(dead_gid).members:
+            for _, peer, m_tag in sw.groups.pop(dead_gid).members:
+                key = (m_tag, (switch, peer))
                 if key != slot0_key:  # the primary slot is a flow port, not a bucket
                     del self._buckets[key]
         del sw.flows[(self.group_key, tag)][edge[1]]
         self._edited(switch, tag)
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
-        switch = key[1][0]
+        tag, (switch, peer) = key
         sw = self.fabric.switches[switch]
         group = sw.groups[gid]
         del self._buckets[key]
-        group.members.remove(key)
+        group.members.remove((self.fabric.net.bit[switch, peer], peer, tag))
         if group.origin is not None and not group.members:
             # a copy with nothing left to send vanishes; its original may follow
             del sw.groups[gid]
@@ -412,7 +417,7 @@ class FlowInstaller:
             gid, group = group.origin, sw.groups[group.origin]
         if group.origin is None and len(group.members) == 1 and not group.copies:
             # only the primary slot remains: dissolve back to a plain output
-            tag, edge = group.members[0]
+            _, peer, tag = group.members[0]
             del sw.groups[gid]
-            sw.flows[(self.group_key, tag)][edge[1]] = PLAIN
+            sw.flows[(self.group_key, tag)][peer] = PLAIN
         self._edited(switch, group.owner_tag)

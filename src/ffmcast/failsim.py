@@ -476,6 +476,7 @@ def verify_tolerance(
     if max_sets is not None:
         require_count("max_sets", max_sets)
     links = sorted(gs.net.links)
+    max_failures = min(max_failures, len(links))  # no failure set is larger than the network
     total = sum(math.comb(len(links), k) for k in range(1, max_failures + 1))
     if max_sets is not None and total > max_sets:
         raise BudgetExceeded(f"{total} failure sets exceed the cap of {max_sets}")

@@ -86,11 +86,12 @@ class TestChainGroups:
     def test_same_tag_forks_not_appends(self):
         fab, _, g, c1, c2 = build_golden()
         groups = fab.switches["S"].groups
-        assert [tag for tag, _ in groups[g].members] == [0, 1, 2, 3]
-        assert [tag for tag, _ in groups[c1].members] == [2, 4]
+        assert [tag for _, _, tag in groups[g].members] == [0, 1, 2, 3]
+        assert [tag for _, _, tag in groups[c1].members] == [2, 4]
         # the copies inherit exactly the buckets ahead of the forked slot
-        assert [peer for _, peer in groups[c1].drop_watch] == ["p1", "p2"]
-        assert [peer for _, peer in groups[c2].drop_watch] == ["p1", "p2"]
+        bit = fab.net.bit
+        assert groups[c1].drops == (bit["S", "p1"], bit["S", "p2"])
+        assert groups[c2].drops == (bit["S", "p1"], bit["S", "p2"])
 
     def test_first_live_bucket_wins(self):
         fab, _, _, _, _ = build_golden()

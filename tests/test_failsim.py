@@ -22,7 +22,7 @@ from ffmcast.failsim import (
 )
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
-from tests.test_protection import triangle
+from tests.test_protection import line, triangle
 from tests.test_topology import grid, rand_connected
 
 
@@ -192,6 +192,15 @@ class TestVerifyTolerance:
         protect_join(gs, "b")
         with pytest.raises(ValueError, match=f"{name} must be an int, not {type(value).__name__}"):
             verify_tolerance(gs, **{name: value})
+
+    def test_budget_beyond_the_links_is_the_links(self):
+        # no failure set has more links than the network: a budget of 10**9
+        # on a 2-link path used to loop over every size up to the budget
+        gs = GroupState(line("A", "B", "C"), "A", ProtectionConfig("spt", 1))
+        protect_join(gs, "C")
+        rep = verify_tolerance(gs, max_failures=10**9, max_sets=100)
+        assert rep == verify_tolerance(gs, max_failures=2)
+        assert rep.sets_checked == 3
 
     def test_theta_f2_fully_covered(self):
         gs = GroupState(theta(), "r", ProtectionConfig("spt", 2))

@@ -9,7 +9,7 @@ from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import HOST, Link, Network, bfs_distances, complete_graph, geant, load_topology
-from tests.test_dataplane import check_view, fill_view
+from tests.test_dataplane import check_view, dump_records, fill_view
 from tests.test_topology import grid, rand_connected
 
 
@@ -422,7 +422,9 @@ def all_trees(gs):
 
 def check_installer_index(gs):
     """The installer's records name exactly the live trees' state, and each
-    group member is the (tag, edge) key of the tree edge its bucket carries.
+    group member is the wire (link bit, peer, tag) of the tree edge its
+    bucket carries, its bit that of the link to the peer; a copy's drop bits
+    are links of its switch.
     Each live backup names the edge it protects and assumes down its parent's
     links plus that edge, within the budget, and none of its own edges. Each
     tree's fanout counts the children its parent map gives. An spt tree is a
@@ -439,13 +441,15 @@ def check_installer_index(gs):
             assert all(len(t.path_to(v)) == dist[v] for v in (t.root, *t.parent)), t.tag
     inst = gs.installer
     switches = gs.fabric.switches
+    bit = gs.net.bit
     first_hops = {(t.tag, (p, c)) for t in all_trees(gs)[1:] for c, p in t.parent.items() if p == t.root}
     assert set(inst._buckets) == first_hops
     referenced = set()  # (switch, gid) of every group the installer reaches
     for key, gid in inst._buckets.items():
-        group = switches[key[1][0]].groups.get(gid)
-        assert group is not None and key in group.members, key
-        referenced.add((key[1][0], gid))
+        tag, (switch, peer) = key
+        group = switches[switch].groups.get(gid)
+        assert group is not None and (bit[switch, peer], peer, tag) in group.members, key
+        referenced.add((switch, gid))
     for switch, sw in switches.items():
         for (group_key, _), flow in sw.flows.items():
             # a flow forwards somewhere: to peers over links, or to its host, plainly
@@ -463,15 +467,18 @@ def check_installer_index(gs):
         backups = group.members
         if group.origin is None:
             # the primary slot: the owner's own tree edge, and only there
-            tag, edge = group.members[0]
+            _, peer, tag = group.members[0]
             assert tag == group.owner_tag, (switch, gid)
             flow = switches[switch].flows[(inst.group_key, tag)]
-            assert flow[edge[1]] == gid, (switch, gid)
+            assert flow[peer] == gid, (switch, gid)
             backups = group.members[1:]
-        for key in backups:
-            assert key[0] != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)
-        edges = [edge for _, edge in group.members] + group.drop_watch
-        assert all(edge[0] == switch for edge in edges), (switch, gid)
+        for _, peer, tag in backups:
+            key = (tag, (switch, peer))
+            assert tag != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)
+        # the bits are stored, not derived: each must still be the link it names
+        assert all(bit.get((switch, peer)) == b for b, peer, _ in group.members), (switch, gid)
+        own = {b for (a, _), b in bit.items() if a == switch}
+        assert own.issuperset(group.drops), (switch, gid)
     # flow_count() and dump() are two derivations of the same flows
     dumped = sum(1 for line in gs.fabric.dump().splitlines() if line.startswith("  flow "))
     assert gs.fabric.total_flows() == dumped
@@ -495,7 +502,9 @@ class TestInstallerIndex:
 
 
 class TestViewInvalidation:
-    """The view stays exact across installer edits, with no rebuild between them."""
+    """The view stays exact across installer edits, with no rebuild between
+    them; every few steps each record also equals the one read back from
+    the dump text alone (dump_records)."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_cached_records_match_fresh_compiles(self, seed, monkeypatch):
@@ -526,6 +535,12 @@ class TestViewInvalidation:
             except TagSpaceExhausted:
                 rollbacks += 1
             check_view(fabric)
+            if step % 5 == 4:  # an oracle that trusts no compile: the records the dump text states
+                records = dump_records(fabric)
+                for (group_key, switch, tag), record in fabric.view.items():
+                    assert record == records.get((switch, group_key, tag), (False, False, (), ())), (switch, tag)
+                for (switch, group_key, tag), record in records.items():
+                    assert fabric.compile(switch, group_key, tag) == record, (switch, group_key, tag)
             for g in groups:  # so that the next edit meets a cached record at every key
                 fill_view(fabric, g.installer.group_key)
         assert (rollbacks > 0) == cut
