@@ -149,6 +149,7 @@ class SwitchFabric:
             if group is None:
                 raise DataplaneError(f"flow references unknown group {gid} on {switch}")
             for g in (group, *[sw.groups[c] for c in group.copies]) if group.copies else (group,):
+                # fresh member tuples: sharing the stored ones measured slower on warm sweeps
                 groups.append((g.drops, tuple([(b, p, t) for b, p, t in g.members])))
         return True, HOST in flow, tuple(wires), tuple(groups)
 

@@ -194,8 +194,8 @@ class TestVerifyTolerance:
             verify_tolerance(gs, **{name: value})
 
     def test_budget_beyond_the_links_is_the_links(self):
-        # no failure set has more links than the network: a budget of 10**9
-        # on a 2-link path used to loop over every size up to the budget
+        # no failure set has more links than the network, so a budget of
+        # 10**9 on a 2-link path sweeps what a budget of 2 does, at once
         gs = GroupState(line("A", "B", "C"), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
         rep = verify_tolerance(gs, max_failures=10**9, max_sets=100)
