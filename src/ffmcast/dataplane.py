@@ -2,15 +2,16 @@
 
 Switch state is kept as the records the installer works with. Each switch
 holds flows[(group_key, tag)], a flow: a plain dict that maps each out port
-to PLAIN or a group id. A port is the peer switch's name, and the reserved
-HOST port, which no node may take, holds the host delivery. The tag is the
-tree's tag, an int everywhere from the tree to the walk; tag 0, the primary
-tree's, matches untagged packets. Its base set names the groups whose
-source sits here, each with a priority -1 drop so unsubscribed traffic dies
-quietly, and groups maps a group id to its ChainGroup. No OpenFlow table is
-kept: dump() renders each flow as up to three entries in table 0, 1 and 2
-(group actions, then plain outputs, then the host delivery, chained by
-goto), and flow_count() counts what it renders.
+to PLAIN or the tuple of ids of the groups that carry it. A port is the peer
+switch's name, and the reserved HOST port, which no node may take, holds the
+host delivery. The tag is the tree's tag, an int everywhere from the tree to
+the walk; tag 0, the primary tree's, matches untagged packets. Its base set
+names the groups whose source sits here, each with a priority -1 drop so
+unsubscribed traffic dies quietly, and groups maps a group id to its
+ChainGroup. No OpenFlow table is kept: dump() renders each flow as up to
+three entries in table 0, 1 and 2 (group actions, then plain outputs, then
+the host delivery, chained by goto), and flow_count() counts what it
+renders.
 
 SwitchFabric.compile is the one reader of that state for forwarding. It
 flattens what a packet of one group does at one (switch, tag) into a record
@@ -33,9 +34,10 @@ the group, so it keeps the packet's tag. Backup trees rooted at a switch
 add buckets to the group protecting the link they cover; when one backup
 tree needs several egress ports at the same switch, the extra ports get
 copies of the group whose inherited buckets are rewritten to Drop so each
-copy emits at most one packet, and the owning flow points at the copies as
-well. Copies are reached only through that flow. A bucket is built once,
-when it is installed, so compile copies it and derives nothing.
+copy emits at most one packet. The owning flow's port lists the original
+first, then its copies in the order they were made; a copy is reached from
+there alone. A bucket is built once, when it is installed, so compile
+copies it and derives nothing.
 """
 
 from __future__ import annotations
@@ -63,19 +65,20 @@ class ChainGroup:
     primary slot, members[0] of an original, stamps owner_tag, the tag of
     the flow that references the group, so it keeps the packet's tag; a
     backup tree has no flow at its own root, so no backup bucket stamps
-    owner_tag.
+    owner_tag. port is the out port of that flow whose gids name the group:
+    the peer of an original's primary slot.
     drops holds the link bits of a copy's inherited prefix (same watch
-    ports, Drop actions), fixed when the copy is made.
+    ports, Drop actions), fixed when the copy is made; a group is a copy
+    exactly when it has drops.
     """
 
     owner_tag: int  # tree tag of the flow on this switch that references it
+    port: str  # the port of that flow that carries the group
     drops: tuple[int, ...] = ()
     members: list[Wire] = field(default_factory=list)
-    copies: list[int] = field(default_factory=list)  # only on originals
-    origin: int | None = None  # original gid when this is a copy
 
 
-def table_count(flow: dict[str, int | str]) -> int:
+def table_count(flow: dict[str, tuple[int, ...] | str]) -> int:
     """Flow entries dump() renders for a flow: one per kind of action it uses."""
     host = HOST in flow  # the host port is PLAIN too
     plain = list(flow.values()).count(PLAIN)
@@ -85,11 +88,11 @@ def table_count(flow: dict[str, int | str]) -> int:
 class SwitchState:
     """One switch's state. flows maps (group_key, tree tag) to a flow, a dict
     from each out port (the peer switch, or HOST for the host delivery) to
-    PLAIN or the gid of the group that carries it; a flow with no port is
-    deleted."""
+    PLAIN or the gids of the groups that carry it, the original first, then
+    its copies; a flow with no port is deleted."""
 
     def __init__(self):
-        self.flows: dict[tuple[str, int], dict[str, int | str]] = {}
+        self.flows: dict[tuple[str, int], dict[str, tuple[int, ...] | str]] = {}
         self.base: set[str] = set()  # group keys with the priority -1 drop
         self.groups: dict[int, ChainGroup] = {}
         self._next_gid = 1
@@ -127,10 +130,11 @@ class SwitchFabric:
         """What a packet of the group with this tag does at the switch, for any
         down set: (matched, terminal, static wires, groups).
 
-        Wires and groups follow the flow's ports in sorted order, each group
-        followed by its copies. Wires keep the packet's tag and each group
-        member stamps its own. Without a flow, an untagged packet (tag 0) at
-        a switch with the group's base drop matches and goes nowhere.
+        Wires and groups follow the flow's ports in sorted order, and a
+        port's groups the order of its gids. Wires keep the packet's tag and
+        each group member stamps its own. Without a flow, an untagged packet
+        (tag 0) at a switch with the group's base drop matches and goes
+        nowhere.
         """
         sw = self.switches[switch]
         flow = sw.flows.get((group_key, tag))
@@ -140,15 +144,15 @@ class SwitchFabric:
         wires: list[Wire] = []
         groups: list[FFGroup] = []
         for peer in sorted(flow):
-            gid = flow[peer]
-            if gid == PLAIN:
+            gids = flow[peer]
+            if gids == PLAIN:
                 if peer != HOST:
                     wires.append((bit[switch, peer], peer, tag))
                 continue
-            group = sw.groups.get(gid)
-            if group is None:
-                raise DataplaneError(f"flow references unknown group {gid} on {switch}")
-            for g in (group, *[sw.groups[c] for c in group.copies]) if group.copies else (group,):
+            for gid in gids:
+                g = sw.groups.get(gid)
+                if g is None:
+                    raise DataplaneError(f"flow references unknown group {gid} on {switch}")
                 # fresh member tuples: sharing the stored ones measured slower on warm sweeps
                 groups.append((g.drops, tuple([(b, p, t) for b, p, t in g.members])))
         return True, HOST in flow, tuple(wires), tuple(groups)
@@ -203,8 +207,8 @@ class SwitchFabric:
         """Stable text rendering of all flow and group state, in OpenFlow table form.
 
         Each flow becomes up to three entries at priority 0, one kind of
-        action per table and chained by goto: its groups (each followed by
-        its copies), its plain outputs, then its host delivery (popping the
+        action per table and chained by goto: its groups (each port's gids
+        in order), its plain outputs, then its host delivery (popping the
         tag first when there is one). A base drop is a table-0 entry at
         priority -1. The text is joined once, from one chunk per switch.
         """
@@ -217,10 +221,9 @@ class SwitchFabric:
                 groups = []
                 outputs = []
                 for peer in sorted(flow):
-                    gid = flow[peer]
-                    if gid != PLAIN:
-                        groups.append(f"group:{gid}")
-                        groups.extend(f"group:{c}" for c in sw.groups[gid].copies)
+                    gids = flow[peer]
+                    if gids != PLAIN:
+                        groups.extend(f"group:{gid}" for gid in gids)
                     elif peer != HOST:
                         outputs.append(f"output:{peer}")
                 host = ["pop", "output:host"] if tag else ["output:host"]
@@ -251,7 +254,7 @@ class FlowInstaller:
 
     It edits the switches' flows, base drops and groups in place, which makes
     installation idempotent and removal an exact inverse: each flow's
-    ports say how its tree edges are carried (PLAIN or a gid), and
+    ports say how its tree edges are carried (PLAIN or gids), and
     _buckets names the group holding each backup tree's first hop. Every
     edit of a (switch, tag) drops that key from the fabric's view.
     """
@@ -292,13 +295,13 @@ class FlowInstaller:
         already installed is still a no-op. The first hop out of a backup
         tree's root becomes a failover bucket in the group covering the
         protected link; every other edge is a PLAIN port of the (switch, tag)
-        flow, and the host delivery is its HOST port. An insert never empties
-        a flow, so each one drops just its view key.
+        flow, and the host delivery is one more, its HOST port. An insert
+        never empties a flow, so each one drops just its view key.
         """
         key = (self.group_key, tree.tag)
         switches = self.fabric.switches
-        for a, b in path:
-            if tree.tag != 0 and a == tree.root:
+        for a, b in path if terminal is None else (*path, (terminal, HOST)):
+            if tree.tag != 0 and a == tree.root and b != HOST:
                 if (tree.tag, (a, b)) in self._buckets:
                     continue
                 if tree.protects is None:
@@ -312,13 +315,6 @@ class FlowInstaller:
                     continue
                 flow[b] = PLAIN
                 self.fabric.view.pop((self.group_key, a, tree.tag), None)
-        if terminal is not None:
-            flow = switches[terminal].flows.get(key)
-            if flow is None:
-                flow = switches[terminal].flows[key] = {}
-            if HOST not in flow:
-                flow[HOST] = PLAIN
-                self.fabric.view.pop((self.group_key, terminal, tree.tag), None)
 
     def _ensure_chain(self, parent_key: tuple[int, tuple[str, str]]) -> int:
         """Group id of the failover chain that carries the given tree edge."""
@@ -327,15 +323,15 @@ class FlowInstaller:
         tag, (switch, peer) = parent_key
         sw = self.fabric.switches[switch]
         flow = sw.flows.get((self.group_key, tag))
-        mode = None if flow is None else flow.get(peer)
-        if mode is None:
+        gids = None if flow is None else flow.get(peer)
+        if gids is None:
             raise DataplaneError(f"edge {parent_key} is not installed")
-        if mode != PLAIN:
-            return mode
+        if gids != PLAIN:
+            return gids[0]
         # promote a plain output to a fast-failover group
         gid = sw.alloc_gid()
-        sw.groups[gid] = ChainGroup(tag, members=[(self.fabric.net.bit[switch, peer], peer, tag)])
-        flow[peer] = gid
+        sw.groups[gid] = ChainGroup(tag, peer, members=[(self.fabric.net.bit[switch, peer], peer, tag)])
+        flow[peer] = (gid,)
         self._edited(switch, tag)
         return gid
 
@@ -344,8 +340,8 @@ class FlowInstaller:
 
         Appends to the given group unless it already serves another first hop
         of the same backup tree; in that case a copy is made whose inherited
-        buckets all Drop (same watch ports) and the owning flow is pointed
-        at the copy too. Returns the group id that got the bucket.
+        buckets all Drop (same watch ports), and its gid is appended to the
+        owning flow's port. Returns the group id that got the bucket.
         """
         sw = self.fabric.switches[switch]
         group = sw.groups.get(gid)
@@ -360,50 +356,44 @@ class FlowInstaller:
             self._edited(switch, group.owner_tag)
             return gid
         # another egress for the same backup tree: copy the group
-        origin_gid = group.origin if group.origin is not None else gid
-        origin = sw.groups[origin_gid]
         copy_gid = sw.alloc_gid()
         drops = group.drops + tuple([b for b, _, _ in group.members[:first]])
-        sw.groups[copy_gid] = ChainGroup(origin.owner_tag, drops, [wire], origin=origin_gid)
-        origin.copies.append(copy_gid)
+        sw.groups[copy_gid] = ChainGroup(group.owner_tag, group.port, drops, [wire])
+        sw.flows[(self.group_key, group.owner_tag)][group.port] += (copy_gid,)
         self._buckets[key] = copy_gid
-        self._edited(switch, origin.owner_tag)
+        self._edited(switch, group.owner_tag)
         return copy_gid
 
     # removal -------------------------------------------------------
 
     def remove_terminal(self, tree, v: str) -> None:
-        flow = self.fabric.switches[v].flows.get((self.group_key, tree.tag))
-        if flow is None or HOST not in flow:
-            return
-        del flow[HOST]
-        self._edited(v, tree.tag)
+        self._remove_port(v, tree.tag, HOST)
 
     def remove_edge(self, tree, edge: tuple[str, str]) -> None:
         """Undo compile_path for one directed tree edge (no-op if gone already)."""
         key = (tree.tag, edge)
         if key in self._buckets:
             self._remove_member(self._buckets[key], key)
-            return
-        flow = self.fabric.switches[edge[0]].flows.get((self.group_key, tree.tag))
-        mode = None if flow is None else flow.get(edge[1])
-        if mode == PLAIN:
-            del flow[edge[1]]
-            self._edited(edge[0], tree.tag)
-        elif mode is not None:
-            self._delete_family(mode, key)
+        else:
+            self._remove_port(edge[0], tree.tag, edge[1])
 
-    def _delete_family(self, gid: int, slot0_key: tuple[int, tuple[str, str]]) -> None:
-        tag, edge = slot0_key
-        switch = edge[0]
-        sw = self.fabric.switches[switch]
-        for dead_gid in [gid, *sw.groups[gid].copies]:
-            for _, peer, m_tag in sw.groups.pop(dead_gid).members:
-                key = (m_tag, (switch, peer))
-                if key != slot0_key:  # the primary slot is a flow port, not a bucket
-                    del self._buckets[key]
-        del sw.flows[(self.group_key, tag)][edge[1]]
+    def _remove_port(self, switch: str, tag: int, port: str) -> None:
+        """Drop a port of the (switch, tag) flow and the groups on it (no-op if gone)."""
+        flow = self.fabric.switches[switch].flows.get((self.group_key, tag))
+        gids = None if flow is None else flow.pop(port, None)
+        if gids is None:
+            return
+        if gids != PLAIN:
+            self._delete_family(switch, tag, gids)
         self._edited(switch, tag)
+
+    def _delete_family(self, switch: str, tag: int, gids: tuple[int, ...]) -> None:
+        """Delete a port's groups and forget the backup buckets they held."""
+        groups = self.fabric.switches[switch].groups
+        for gid in gids:
+            for _, peer, m_tag in groups.pop(gid).members:
+                if m_tag != tag:  # the primary slot is a flow port, not a bucket
+                    del self._buckets[m_tag, (switch, peer)]
 
     def _remove_member(self, gid: int, key: tuple[int, tuple[str, str]]) -> None:
         tag, (switch, peer) = key
@@ -411,14 +401,14 @@ class FlowInstaller:
         group = sw.groups[gid]
         del self._buckets[key]
         group.members.remove((self.fabric.net.bit[switch, peer], peer, tag))
-        if group.origin is not None and not group.members:
-            # a copy with nothing left to send vanishes; its original may follow
+        flow = sw.flows[(self.group_key, group.owner_tag)]
+        gids = flow[group.port]
+        if group.drops and not group.members:
+            # a copy with nothing left to send vanishes
             del sw.groups[gid]
-            sw.groups[group.origin].copies.remove(gid)
-            gid, group = group.origin, sw.groups[group.origin]
-        if group.origin is None and len(group.members) == 1 and not group.copies:
-            # only the primary slot remains: dissolve back to a plain output
-            _, peer, tag = group.members[0]
-            del sw.groups[gid]
-            sw.flows[(self.group_key, tag)][peer] = PLAIN
+            gids = flow[group.port] = tuple([g for g in gids if g != gid])
+        if len(gids) == 1 and len(sw.groups[gids[0]].members) == 1:
+            # only the original's primary slot remains: dissolve back to a plain output
+            del sw.groups[gids[0]]
+            flow[group.port] = PLAIN
         self._edited(switch, group.owner_tag)

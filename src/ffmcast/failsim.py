@@ -511,7 +511,7 @@ def verify_tolerance(
 
 
 def depth_hopcounts(gs: GroupState) -> list[float]:
-    """Mean delivery hops at each failover depth 0..gs.config.max_failures.
+    """Mean delivery hops at each failover depth, up to the budget or the link count.
 
     Depth k averages over every chain of k nested failures a subscriber is
     protected against: a link on its primary path, then a link on the backup
@@ -521,7 +521,7 @@ def depth_hopcounts(gs: GroupState) -> list[float]:
     subscriber order, that fails to deliver.
     """
     cache: dict[frozenset[Link], DeliveryReport] = {}
-    samples: list[list[int]] = [[] for _ in range(gs.config.max_failures + 1)]
+    samples: list[list[int]] = [[] for _ in range(min(gs.config.max_failures, len(gs.net.links)) + 1)]
     for v in sorted(gs.primary.terminals):
         for t in (gs.primary, *backup_steps(gs.primary, v)):
             if v not in t.terminals:
@@ -563,7 +563,11 @@ class RecoveryModel:
             _require_nonnegative(name, getattr(self, name))
 
     def outage_ms(self, affected_groups: int = 1, entries: int = 1) -> float:
-        """The outage window of one cut. One that is not finite raises ValueError."""
+        """The outage window of one cut; a negative count or infinite window raises ValueError."""
+        if affected_groups < 0:
+            raise ValueError("affected_groups must be >= 0")
+        if entries < 0:
+            raise ValueError("entries must be >= 0")
         try:
             if self.mode == "ff":
                 outage = self.detection_ms
@@ -610,10 +614,6 @@ def simulate_recovery(
     _require_nonnegative("rate_hz", rate_hz)
     if duration_ms is not None:
         _require_nonnegative("duration_ms", duration_ms)
-    if affected_groups < 0:
-        raise ValueError("affected_groups must be >= 0")
-    if entries < 0:
-        raise ValueError("entries must be >= 0")
     outage = model.outage_ms(affected_groups=affected_groups, entries=entries)
     window = outage if duration_ms is None else min(outage, duration_ms)
     lost = cuts * _packets(window, rate_hz)

@@ -166,13 +166,11 @@ def _leave(gs: GroupState, tree: MulticastTree, v: str) -> None:
     tree.terminals.discard(v)
     gs.installer.remove_terminal(tree, v)
     pruned: list[tuple[str, str]] = []
+    key = (gs.installer.group_key, tree.tag)
     cur = v
-    # drop edges upward until someone else still needs the switch
-    while cur != tree.root and cur not in tree.fanout and cur not in tree.terminals:
+    # drop edges upward while the switch holds no flow of the tree: no child, no host
+    while cur != tree.root and key not in gs.fabric.switches[cur].flows:
         parent = tree.parent.pop(cur)
-        tree.fanout[parent] -= 1
-        if not tree.fanout[parent]:
-            del tree.fanout[parent]
         gs.installer.remove_edge(tree, (parent, cur))
         pruned.append((parent, cur))
         cur = parent

@@ -31,15 +31,14 @@ class MulticastTree:
     stream from this tree; protects records which edge of which parent tree
     this tree is the backup for, and down the links it assumes failed: the
     parent's down plus that edge. Every join onto the tree routes around them,
-    so an spt tree is a shortest-path tree of its root around down. fanout
-    counts each node's children; a node with none is absent. The tree's nodes
-    are the root and the keys of parent: `node in tree`.
+    so an spt tree is a shortest-path tree of its root around down. The
+    tree's nodes are the root and the keys of parent: `node in tree`; the
+    switch state says which of them still forward or deliver.
     """
 
     root: str
     tag: int = 0
     parent: dict[str, str] = field(default_factory=dict)
-    fanout: dict[str, int] = field(default_factory=dict)
     backup: dict[tuple[str, str], "MulticastTree"] = field(default_factory=dict)
     terminals: set[str] = field(default_factory=set)
     protects: tuple[int, tuple[str, str]] | None = None
@@ -86,7 +85,6 @@ def apply_path(tree: MulticastTree, path: PathEdges) -> None:
         prev_head = b
     for a, b in path:
         tree.parent[b] = a
-        tree.fanout[a] = tree.fanout.get(a, 0) + 1
 
 
 def spt_join(net: Network, tree: MulticastTree, v: str) -> PathEdges | None:

@@ -9,6 +9,10 @@ random connected graphs of 5-16 nodes, under spt and dst, at F=0..3. A join
 that runs out of tags is rolled back and hashed as such. The total digest
 hashes the per-configuration ones in order.
 
+After every 10th operation of every configuration it also runs
+check_installer_index from invariants.py, which ties the trees to the
+switch state; it hashes nothing, so the digests are the same without it.
+
 A second stream checks the walks. After every 10th operation of a
 configuration with F <= 2, and with --long of every F=3 configuration but
 geant's, it runs verify_tolerance and hashes the ToleranceReport, every
@@ -38,6 +42,11 @@ from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.harness import delivery_rows
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
 from ffmcast.topology import geant, load_topology
+
+if __package__:
+    from .invariants import check_installer_index
+else:  # run as a script, with tests/ on the path
+    from invariants import check_installer_index
 
 
 def rand_connected(rng, n, extra=None):
@@ -100,6 +109,8 @@ def churn(net, strategy, budget, ops, seed, verify):
                 result = "TagSpaceExhausted"
         state = (op, v, result, gs.fabric.dump(), gs.unprotected, gs.join_calls, gs.tags_allocated)
         h.update(repr(state).encode())
+        if i % 10 == 0:
+            check_installer_index(gs)
         if checks is not None and i % 10 == 0:
             on_case = lambda failed, rep: checks.update(repr((delivery_rows(failed, rep), rep.read)).encode())
             checks.update(repr(verify_tolerance(gs, on_case=on_case)).encode())

@@ -132,6 +132,16 @@ class TestReport:
         assert "depth 1: mean hops 2.0000" in out
         assert "source=n5" in out
 
+    def test_budget_beyond_the_link_count(self, capsys):
+        # one depth line per chain length the three links allow, not per unit of budget
+        outs = []
+        for budget in ("3", "1000000000"):
+            assert main(["report", "--preset", "complete", "-n", "3", "-F", budget, "--reps", "1"]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        assert outs[1][0].endswith("F=1000000000 reps=1")
+        assert outs[1][1:] == outs[0][1:]
+        assert sum(line.startswith("depth ") for line in outs[0]) == 4
+
     def test_capacity_flag_can_fail(self, capsys):
         code = main(["report", "--preset", "complete", "-n", "8", "--tree", "spt",
                      "-F", "1", "--reps", "1", "--limit", "2"])

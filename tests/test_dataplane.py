@@ -127,7 +127,7 @@ class TestChainGroups:
         assert (fab.forward("S", "g", 0, down("p1", "p2", "p10", "p11", "p12"))
                 == fab.forward("S", "g", 0, down("p1", "p2")))
         # a copy run alone stops at its first live inherited (Drop) watch port
-        fab.switches["S"].flows[("g", 0)] = {"p8": 2}
+        fab.switches["S"].flows[("g", 0)] = {"p8": (2,)}
         assert fab.forward("S", "g", 0, down("p1", "p8", "p11")) == ([], True)
 
     def test_unknown_link_in_down_set(self):
@@ -137,7 +137,7 @@ class TestChainGroups:
 
     def test_unknown_group_reference(self):
         fab = SwitchFabric(star(3))
-        fab.switches["S"].flows[("g", 0)] = {"p1": 9}
+        fab.switches["S"].flows[("g", 0)] = {"p1": (9,)}
         with pytest.raises(DataplaneError):
             fab.forward("S", "g", 0, set())
 
@@ -201,7 +201,7 @@ class TestCompile:
             (((), ((link("p2"), "p2", 4),)),),
         )
         assert gid == 1 and fab.switches["S"].flows[("g", 4)] == {
-            "p1": PLAIN, "p2": 1, "p3": PLAIN, HOST: PLAIN}
+            "p1": PLAIN, "p2": (1,), "p3": PLAIN, HOST: PLAIN}
 
     def test_base_drop_only(self):
         fab = SwitchFabric(star(2))

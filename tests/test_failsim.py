@@ -135,7 +135,7 @@ class TestSimulateDelivery:
         gs = GroupState(triangle(), "A", ProtectionConfig("spt", 1))
         protect_join(gs, "C")
         # A's flow points its edge to C at a group A does not have
-        gs.fabric.switches["A"].flows[(gs.installer.group_key, 0)]["C"] = 99
+        gs.fabric.switches["A"].flows[(gs.installer.group_key, 0)]["C"] = (99,)
         gs.fabric.view.clear()  # a hand edit outside FlowInstaller drops the view
         with pytest.raises(DataplaneError):
             simulate_delivery(gs, [Link("A", "C")])
@@ -732,6 +732,17 @@ class TestDepthHopcounts:
         with pytest.raises(DataplaneError, match=r"covered chain \{a-r\} did not deliver to b"):
             depth_hopcounts(gs)
 
+    def test_budget_beyond_the_link_count(self):
+        # no chain is longer than the link count, so a huge budget sizes nothing
+        depths = {}
+        for budget in (3, 10**9):
+            gs = GroupState(triangle(), "A", ProtectionConfig("spt", budget))
+            protect_join(gs, "B")
+            protect_join(gs, "C")
+            depths[budget] = depth_hopcounts(gs)
+        assert len(depths[3]) == 4
+        assert repr(depths[10**9]) == repr(depths[3])
+
 
 class TestRecovery:
     def test_local_failover_ignores_rtt(self):
@@ -792,6 +803,19 @@ class TestRecovery:
             model.outage_ms(**counts)
         with pytest.raises(ValueError, match="the outage window must be finite"):
             simulate_recovery(model, **counts)
+
+    @pytest.mark.parametrize("mode, counts, message", [
+        ("switch", {"affected_groups": -5}, "affected_groups must be >= 0"),
+        ("ff", {"affected_groups": -5}, "affected_groups must be >= 0"),
+        ("restore", {"entries": -3}, "entries must be >= 0"),
+    ])
+    def test_negative_counts_are_named(self, mode, counts, message):
+        # a negative count used to shorten the window, or to be blamed on it
+        model = RecoveryModel(mode, rtt_ms=100)
+        with pytest.raises(ValueError, match=message):
+            model.outage_ms(**counts)
+        with pytest.raises(ValueError, match=message):
+            RecoveryModel(mode).outage_ms(**counts)
 
     def test_negative_cuts(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
 import random
-from collections import Counter
 
 import pytest
 
 import ffmcast.protection
-from ffmcast.dataplane import MAX_TAG, PLAIN, FlowInstaller, SwitchFabric
+from ffmcast.dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from ffmcast.errors import TagSpaceExhausted, TopologyError
 from ffmcast.failsim import simulate_delivery, verify_tolerance
 from ffmcast.protection import GroupState, ProtectionConfig, protect_join, protect_leave
-from ffmcast.topology import HOST, Link, Network, bfs_distances, complete_graph, geant, load_topology
+from ffmcast.topology import Link, Network, complete_graph, geant, load_topology
+from tests.invariants import all_trees, check_installer_index
 from tests.test_dataplane import check_view, dump_records, fill_view
 from tests.test_topology import grid, rand_connected
 
@@ -410,78 +410,6 @@ class TestConfig:
         trees = all_trees(gs)
         assert trees[0] is gs.primary
         assert sorted(t.tag for t in trees) == sorted(range(gs.tags_allocated + 1))
-
-
-def all_trees(gs):
-    """Primary tree first, then backup trees in breadth-first order."""
-    out = [gs.primary]
-    for t in out:
-        out.extend(t.backup[edge] for edge in sorted(t.backup))
-    return out
-
-
-def check_installer_index(gs):
-    """The installer's records name exactly the live trees' state, and each
-    group member is the wire (link bit, peer, tag) of the tree edge its
-    bucket carries, its bit that of the link to the peer; a copy's drop bits
-    are links of its switch.
-    Each live backup names the edge it protects and assumes down its parent's
-    links plus that edge, within the budget, and none of its own edges. Each
-    tree's fanout counts the children its parent map gives. An spt tree is a
-    shortest-path tree of its root around its down set."""
-    for t in all_trees(gs):
-        for edge, b in t.backup.items():
-            assert b.protects == (t.tag, edge)
-            assert b.down == t.down | {Link(*edge)}
-            assert len(b.down) <= gs.config.max_failures
-            assert not any(Link(p, c) in b.down for c, p in b.parent.items()), b.tag
-        assert t.fanout == Counter(t.parent.values()), t.tag
-        if gs.config.strategy == "spt":
-            dist = bfs_distances(gs.net, t.root, t.down)
-            assert all(len(t.path_to(v)) == dist[v] for v in (t.root, *t.parent)), t.tag
-    inst = gs.installer
-    switches = gs.fabric.switches
-    bit = gs.net.bit
-    first_hops = {(t.tag, (p, c)) for t in all_trees(gs)[1:] for c, p in t.parent.items() if p == t.root}
-    assert set(inst._buckets) == first_hops
-    referenced = set()  # (switch, gid) of every group the installer reaches
-    for key, gid in inst._buckets.items():
-        tag, (switch, peer) = key
-        group = switches[switch].groups.get(gid)
-        assert group is not None and (bit[switch, peer], peer, tag) in group.members, key
-        referenced.add((switch, gid))
-    for switch, sw in switches.items():
-        for (group_key, _), flow in sw.flows.items():
-            # a flow forwards somewhere: to peers over links, or to its host, plainly
-            assert flow and flow.get(HOST, PLAIN) == PLAIN, (switch, group_key)
-            assert all(port == HOST or Link(switch, port) in gs.net.links for port in flow), switch
-            if group_key != inst.group_key:
-                continue
-            for mode in flow.values():
-                assert mode == PLAIN or mode in sw.groups, (switch, mode)
-                if mode != PLAIN:
-                    referenced.add((switch, mode))
-                    referenced.update((switch, c) for c in sw.groups[mode].copies)
-    for switch, gid in referenced:
-        group = switches[switch].groups[gid]
-        backups = group.members
-        if group.origin is None:
-            # the primary slot: the owner's own tree edge, and only there
-            _, peer, tag = group.members[0]
-            assert tag == group.owner_tag, (switch, gid)
-            flow = switches[switch].flows[(inst.group_key, tag)]
-            assert flow[peer] == gid, (switch, gid)
-            backups = group.members[1:]
-        for _, peer, tag in backups:
-            key = (tag, (switch, peer))
-            assert tag != group.owner_tag and inst._buckets.get(key) == gid, (switch, gid, key)
-        # the bits are stored, not derived: each must still be the link it names
-        assert all(bit.get((switch, peer)) == b for b, peer, _ in group.members), (switch, gid)
-        own = {b for (a, _), b in bit.items() if a == switch}
-        assert own.issuperset(group.drops), (switch, gid)
-    # flow_count() and dump() are two derivations of the same flows
-    dumped = sum(1 for line in gs.fabric.dump().splitlines() if line.startswith("  flow "))
-    assert gs.fabric.total_flows() == dumped
 
 
 class TestInstallerIndex:

@@ -82,7 +82,6 @@ class TestApplyPath:
             apply_path(t, path)
         assert {t.root, *t.parent} == nodes
         assert t.parent == parent
-        assert t.fanout == {"A": 1, "D": 1}
 
     def test_path_to_unknown_node(self):
         t = MulticastTree(root="A")
@@ -498,5 +497,5 @@ class TestTreeQueries:
         apply_path(t, [("A", "D")])
         assert len(t.parent) == 3
         assert {c for c, p in t.parent.items() if p == "A"} == {"B", "D"}
-        assert t.fanout == {"A": 2, "B": 1}
+        assert sorted(t.parent.values()) == ["A", "A", "B"]  # A has two children, B one
         assert sorted(f"{p}-{c}" for c, p in t.parent.items()) == ["A-B", "A-D", "B-C"]
