@@ -43,9 +43,9 @@ copies it and derives nothing.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import DataplaneError
+from .records import Record
 from .topology import HOST, Link, Network
 
 MAX_TAG = 4094
@@ -55,8 +55,7 @@ PLAIN = "plain"
 Wire = tuple[int, str, int]
 
 
-@dataclass
-class ChainGroup:
+class ChainGroup(Record):
     """Fast-failover group holding one failover cascade, keyed by its gid in SwitchState.groups.
 
     members are the cascade's own buckets in failover order, each stored as
@@ -72,10 +71,14 @@ class ChainGroup:
     exactly when it has drops.
     """
 
-    owner_tag: int  # tree tag of the flow on this switch that references it
-    port: str  # the port of that flow that carries the group
-    drops: tuple[int, ...] = ()
-    members: list[Wire] = field(default_factory=list)
+    __slots__ = ("owner_tag", "port", "drops", "members")
+
+    def __init__(self, owner_tag: int, port: str, drops: tuple[int, ...] = (),
+                 members: list[Wire] | None = None):
+        self.owner_tag = owner_tag  # tree tag of the flow on this switch that references it
+        self.port = port  # the port of that flow that carries the group
+        self.drops = drops
+        self.members = [] if members is None else members
 
 
 def table_count(flow: dict[str, tuple[int, ...] | str]) -> int:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DataplaneError
 from .protection import GroupState, require_count
+from .records import Record
 from .topology import Link
 from .trees import MulticastTree, backup_steps
 
@@ -46,13 +46,16 @@ class Delivery(NamedTuple):
 _delivery = partial(tuple.__new__, Delivery)
 
 
-@dataclass
-class DeliveryReport:
-    outcomes: dict[str, Delivery]
-    unmatched: int  # packets no flow entry wanted
-    stray: int  # host deliveries at switches without a subscriber
-    loop_guard_tripped: bool = False
-    read: int = 0  # mask of the links whose state the walk read
+class DeliveryReport(Record):
+    __slots__ = ("outcomes", "unmatched", "stray", "loop_guard_tripped", "read")
+
+    def __init__(self, outcomes: dict[str, Delivery], unmatched: int, stray: int,
+                 loop_guard_tripped: bool = False, read: int = 0):
+        self.outcomes = outcomes
+        self.unmatched = unmatched  # packets no flow entry wanted
+        self.stray = stray  # host deliveries at switches without a subscriber
+        self.loop_guard_tripped = loop_guard_tripped
+        self.read = read  # mask of the links whose state the walk read
 
     @property
     def all_delivered(self) -> bool:
@@ -311,25 +314,38 @@ def _walk(gs: GroupState, down: int, base: _Walk | None = None, keep: bool = Fal
 # tolerance sweep ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FailureCase:
+class FailureCase(NamedTuple):
     failed: tuple[str, ...]
     subscriber: str
 
 
-@dataclass
-class ToleranceReport:
+class ToleranceReport(Record):
     """Result of a sweep. duplicates, stray, unmatched and walks include the baseline."""
 
-    sets_checked: int = 0
-    baseline_ok: bool = True
-    unexcused: list[FailureCase] = field(default_factory=list)
-    excused: int = 0
-    loop_guard_tripped: bool = False
-    duplicates: int = 0  # (set, subscriber) pairs that got more than one copy
-    stray: int = 0  # host deliveries at switches without a subscriber
-    unmatched: int = 0  # packets no flow entry wanted, while the group has subscribers
-    walks: int = 0  # masks walked: every core, plus the candidate cores the sweep rejected
+    __slots__ = ("sets_checked", "baseline_ok", "unexcused", "excused", "loop_guard_tripped",
+                 "duplicates", "stray", "unmatched", "walks")
+
+    def __init__(
+        self,
+        sets_checked: int = 0,
+        baseline_ok: bool = True,
+        unexcused: list[FailureCase] | None = None,
+        excused: int = 0,
+        loop_guard_tripped: bool = False,
+        duplicates: int = 0,
+        stray: int = 0,
+        unmatched: int = 0,
+        walks: int = 0,
+    ):
+        self.sets_checked = sets_checked
+        self.baseline_ok = baseline_ok
+        self.unexcused = [] if unexcused is None else unexcused
+        self.excused = excused
+        self.loop_guard_tripped = loop_guard_tripped
+        self.duplicates = duplicates  # (set, subscriber) pairs that got more than one copy
+        self.stray = stray  # host deliveries at switches without a subscriber
+        self.unmatched = unmatched  # packets no flow entry wanted, while the group has subscribers
+        self.walks = walks  # masks walked: every core, plus the candidate cores the sweep rejected
 
     @property
     def ok(self) -> bool:
@@ -541,26 +557,38 @@ def depth_hopcounts(gs: GroupState) -> list[float]:
 RECOVERY_MODES = ("ff", "switch", "restore")
 
 
-@dataclass(frozen=True)
-class RecoveryModel:
+class _RecoveryFields(NamedTuple):
+    mode: str
+    detection_ms: float
+    rtt_ms: float
+    flowmod_ms: float
+    compute_ms: float
+
+
+class RecoveryModel(_RecoveryFields):
     """Analytic outage window per repaired cut.
 
     ff: local failover, done once the switch detects the dead port.
     switch: controller retargets affected groups after one round trip.
     restore: controller recomputes and reinstalls the affected entries.
+    Every way of making one, _make and _replace too, checks the fields
+    (ValueError).
     """
 
-    mode: str = "ff"
-    detection_ms: float = 0.0
-    rtt_ms: float = 0.0
-    flowmod_ms: float = 1.0
-    compute_ms: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in RECOVERY_MODES:
-            raise ValueError(f"unknown recovery mode {self.mode!r}")
+    def __new__(cls, mode: str = "ff", detection_ms: float = 0.0, rtt_ms: float = 0.0,
+                flowmod_ms: float = 1.0, compute_ms: float = 0.0) -> RecoveryModel:
+        if mode not in RECOVERY_MODES:
+            raise ValueError(f"unknown recovery mode {mode!r}")
+        model = tuple.__new__(cls, (mode, detection_ms, rtt_ms, flowmod_ms, compute_ms))
         for name in ("detection_ms", "rtt_ms", "flowmod_ms", "compute_ms"):
-            _require_nonnegative(name, getattr(self, name))
+            _require_nonnegative(name, getattr(model, name))
+        return model
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RecoveryModel:
+        return cls(*iterable)
 
     def outage_ms(self, affected_groups: int = 1, entries: int = 1) -> float:
         """The outage window of one cut; a negative count or infinite window raises ValueError."""
@@ -590,8 +618,7 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     mode: str
     cuts: int
     outage_ms: float  # per cut

@@ -14,26 +14,24 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import TopologyError
 from .failsim import DeliveryReport, depth_hopcounts, simulate_delivery
 from .protection import GroupState, ProtectionConfig, protect_join, protect_leave
+from .records import Record
 from .topology import Link, Network, complete_graph, geant
 
 EVENT_OPS = ("join", "leave", "fail", "restore", "inject", "wait")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     op: str
     arg: str | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     source: str
     events: tuple[Event, ...]
 
@@ -88,8 +86,7 @@ def parse_link(net: Network, name: str) -> Link:
 # metrics -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
+class MetricsSnapshot(NamedTuple):
     index: int
     event: str
     subscribers: int
@@ -117,12 +114,20 @@ def take_snapshot(gs: GroupState, index: int, event: str) -> MetricsSnapshot:
     )
 
 
-@dataclass
-class RunResult:
-    gs: GroupState
-    snapshots: list[MetricsSnapshot] = field(default_factory=list)
-    injections: list[tuple[tuple[Link, ...], DeliveryReport]] = field(default_factory=list)
-    rejected_joins: list[str] = field(default_factory=list)
+class RunResult(Record):
+    __slots__ = ("gs", "snapshots", "injections", "rejected_joins")
+
+    def __init__(
+        self,
+        gs: GroupState,
+        snapshots: list[MetricsSnapshot] | None = None,
+        injections: list[tuple[tuple[Link, ...], DeliveryReport]] | None = None,
+        rejected_joins: list[str] | None = None,
+    ):
+        self.gs = gs
+        self.snapshots = [] if snapshots is None else snapshots
+        self.injections = [] if injections is None else injections
+        self.rejected_joins = [] if rejected_joins is None else rejected_joins
 
 
 def run_scenario(net: Network, scenario: Scenario, config: ProtectionConfig | None = None) -> RunResult:
@@ -154,8 +159,7 @@ def run_scenario(net: Network, scenario: Scenario, config: ProtectionConfig | No
 PRESETS = ("complete", "geant")
 
 
-@dataclass(frozen=True)
-class GeoreplayResult:
+class GeoreplayResult(NamedTuple):
     preset: str
     strategy: str
     max_failures: int

@@ -12,7 +12,8 @@ pruning edges nobody needs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .dataplane import MAX_TAG, FlowInstaller, SwitchFabric
 from .errors import TagSpaceExhausted, TopologyError
@@ -21,15 +22,26 @@ from .topology import Link, Network, without_links  # noqa: F401
 from .trees import JOIN_STRATEGIES, MulticastTree, apply_path, backup_steps, join
 
 
-@dataclass(frozen=True)
-class ProtectionConfig:
-    strategy: str = "spt"
-    max_failures: int = 1
+class _ProtectionFields(NamedTuple):
+    strategy: str
+    max_failures: int
 
-    def __post_init__(self) -> None:
-        if self.strategy not in JOIN_STRATEGIES:
-            raise ValueError(f"unknown join strategy {self.strategy!r}")
-        require_count("max_failures", self.max_failures)
+
+class ProtectionConfig(_ProtectionFields):
+    """How a group grows and protects its trees. Every way of making one,
+    _make and _replace too, checks the fields (ValueError)."""
+
+    __slots__ = ()
+
+    def __new__(cls, strategy: str = "spt", max_failures: int = 1) -> ProtectionConfig:
+        if strategy not in JOIN_STRATEGIES:
+            raise ValueError(f"unknown join strategy {strategy!r}")
+        require_count("max_failures", max_failures)
+        return tuple.__new__(cls, (strategy, max_failures))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ProtectionConfig:
+        return cls(*iterable)
 
 
 def require_count(name: str, value: object) -> None:

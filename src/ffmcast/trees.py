@@ -10,9 +10,9 @@ onto the nearest tree node.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .errors import InvalidPathError
+from .records import Record
 # bfs_distances is unused here but stays importable: perfbench's tracer wraps it by name
 from .topology import Link, Network, bfs_distances, nearest, shortest_path  # noqa: F401
 
@@ -20,8 +20,7 @@ from .topology import Link, Network, bfs_distances, nearest, shortest_path  # no
 PathEdges = list[tuple[str, str]]
 
 
-@dataclass
-class MulticastTree:
+class MulticastTree(Record):
     """Rooted delivery tree.
 
     tag 0 marks the primary tree, whose packets travel untagged; backup trees
@@ -36,13 +35,25 @@ class MulticastTree:
     switch state says which of them still forward or deliver.
     """
 
-    root: str
-    tag: int = 0
-    parent: dict[str, str] = field(default_factory=dict)
-    backup: dict[tuple[str, str], "MulticastTree"] = field(default_factory=dict)
-    terminals: set[str] = field(default_factory=set)
-    protects: tuple[int, tuple[str, str]] | None = None
-    down: frozenset[Link] = frozenset()
+    __slots__ = ("root", "tag", "parent", "backup", "terminals", "protects", "down")
+
+    def __init__(
+        self,
+        root: str,
+        tag: int = 0,
+        parent: dict[str, str] | None = None,
+        backup: dict[tuple[str, str], MulticastTree] | None = None,
+        terminals: set[str] | None = None,
+        protects: tuple[int, tuple[str, str]] | None = None,
+        down: frozenset[Link] = frozenset(),
+    ):
+        self.root = root
+        self.tag = tag
+        self.parent = {} if parent is None else parent
+        self.backup = {} if backup is None else backup
+        self.terminals = set() if terminals is None else terminals
+        self.protects = protects
+        self.down = down
 
     def __contains__(self, node: str) -> bool:
         return node == self.root or node in self.parent

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import random
 import sys
@@ -95,8 +94,9 @@ def assert_matches_brute_force(gs, max_failures):
     sets, reports, slow = brute_force(gs, max_failures)
     assert [failed for failed, _ in seen] == sets
     assert [rep for _, rep in seen] == reports
-    assert dataclasses.replace(fast, walks=slow.walks) == slow
     assert 1 <= fast.walks <= slow.walks
+    slow.walks = fast.walks  # the reports agree on everything else
+    assert fast == slow
     cores = list(failsim._cores(gs, sorted(gs.net.links), max_failures, ToleranceReport()))
     assert [failed for failed, _, _ in cores] == sets
     for failed, mask, w in cores:

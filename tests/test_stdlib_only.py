@@ -1,17 +1,17 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ffmcast"
 
 
-def test_runtime_imports_only_the_standard_library():
-    # relative imports stay inside the package; every absolute one must name
-    # ffmcast itself or a standard library module
-    allowed = set(sys.stdlib_module_names) | {"ffmcast"}
+def absolute_imports() -> list[tuple[str, int, str]]:
+    """(file, line, top-level module) of every absolute import in the package;
+    relative imports stay inside it."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    foreign = []
+    found = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
@@ -20,8 +20,34 @@ def test_runtime_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
-    assert foreign == []
+            found += [(path.name, node.lineno, n.split(".")[0]) for n in names]
+    return found
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every absolute import must name ffmcast itself or a standard library module
+    allowed = set(sys.stdlib_module_names) | {"ffmcast"}
+    assert [imp for imp in absolute_imports() if imp[2] not in allowed] == []
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect too, and every process pays for both
+    # at start-up: records are __slots__ classes or typing.NamedTuple
+    assert [imp for imp in absolute_imports() if imp[2] == "dataclasses"] == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages (and whatever .pth files they import) out of it
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import ffmcast, ffmcast.cli\n"
+        "assert ffmcast.__file__.startswith(sys.path[0]), ffmcast.__file__\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_import_is_used():
