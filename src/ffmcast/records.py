@@ -4,7 +4,8 @@ A record lists its fields, in order, as its __slots__ and sets them in its
 own __init__. Record derives value equality (same class, equal fields) and
 the repr Name(field=value, ...) from that list, and leaves the record
 unhashable, as a mutable value should be. The immutable records are
-typing.NamedTuple classes, which print and compare the same way.
+typing.NamedTuple classes, which print the same way and compare by value
+too (and equal the plain tuple of their fields).
 """
 
 from __future__ import annotations
